@@ -194,6 +194,21 @@ pub fn collect() -> PerfReport {
         ns_per_iter: traced_elapsed.as_nanos() as f64 / cold_iters as f64,
         iters: cold_iters,
     });
+    // The same cold compile on the paper's 4-, 5- and 6-cluster ring machines,
+    // where every loop goes through the partitioner (the single-cluster probe
+    // above never calls it).
+    let ring_configs =
+        [4, 5, 6].map(|n| CompilerConfig::paper_defaults(Machine::paper_clustered(n, lat)));
+    probes.push(time_probe("session/compile_corpus_cold_clustered", 5, 500, || {
+        let session = Session::new(cfg.clone());
+        ring_configs
+            .iter()
+            .map(|config| {
+                let compiler = session.compiler(config.clone());
+                session.sweep(|i, _| compiler.compile(i).is_ok())
+            })
+            .collect::<Vec<_>>()
+    }));
     let warm = Session::new(cfg.clone());
     let warm_compiler = warm.compiler(CompilerConfig::paper_defaults(paper6.clone()));
     warm.sweep(|i, _| warm_compiler.compile(i).is_ok());

@@ -641,4 +641,38 @@ mod tests {
         assert!(r.schedule.validate(&g, &m).is_ok());
         assert_eq!(r.schedule.start_of(tail) as u64, u32::MAX as u64 - 1);
     }
+
+    #[test]
+    fn livelocked_attempts_fail_promptly_with_an_unbounded_budget() {
+        // Loop 13 of the 32-loop golden corpus (seed 386), with copies, never
+        // partitions on six clusters: every II of its window fails and the
+        // loop collapses.  Each failure is a livelock of the ring
+        // backtracking (placing one operation evicts a neighbour whose
+        // re-placement evicts it back), so the engine's state recurs and the
+        // attempt ends there.  Without that exit a `u32::MAX` budget spins
+        // for ~4·10⁹ placements per II.
+        let corpus = vliw_loopgen::generate_corpus(&vliw_loopgen::CorpusConfig::small(32, 386));
+        let g = insert_copies(&corpus[13].ddg, &LatencyModel::default()).ddg;
+        let m = clustered(6);
+        let mii = res_mii(&g, &m).unwrap().max(rec_mii(&g));
+        // A collapsed result reports the single-cluster bound as its MII.
+        assert!(partition_schedule(&g, &m, PartitionOptions::default()).unwrap().mii > mii);
+
+        // The search runs on its own thread so a regression fails the test
+        // after a deadline instead of hanging it (the thread is then left
+        // spinning until the process exits).
+        let (tx, rx) = std::sync::mpsc::channel();
+        let search = std::thread::spawn(move || {
+            let mut scratch = PartitionScratch::default();
+            let failed = (mii..=3 * mii + 64).all(|ii| {
+                try_partition_at(&g, &m, ii, u32::MAX, false, None, &mut scratch).is_none()
+            });
+            tx.send(failed).unwrap();
+        });
+        let failed = rx
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("an unbounded-budget attempt did not return");
+        search.join().expect("the search thread panicked");
+        assert!(failed, "a livelocked II unexpectedly partitioned");
+    }
 }

@@ -21,6 +21,21 @@
 //!   ([`Machine::fu_ids_of_class`]) — window probes and victim selection touch
 //!   only the candidate units instead of filtering the full FU list.
 //!
+//! A failing attempt ends early on a **state recurrence**.  Between placements
+//! the engine's state is, per operation: scheduled or not, its last start
+//! cycle, its unit while scheduled, and whether it was ever placed.  The MRT,
+//! the cluster loads and the ready queue (exactly the unscheduled set) are
+//! functions of it, and the heights, the II and the policy are fixed for the
+//! attempt, so the loop is a deterministic function of that state.  Once a
+//! state repeats, the attempt cycles through the same placements until its
+//! budget runs out and returns `None`, so the engine returns `None` at the
+//! repeat instead; every result is the one the full budget would give.
+//! Repeats are found with Brent's cycle detection (Brent 1980) over a
+//! Zobrist-style hash kept in O(1) per place and unschedule; a hash match
+//! is confirmed against the saved state before the attempt ends.  In
+//! practice the partitioner's ring backtracking livelocks with period 2: one
+//! operation evicts a neighbour, whose re-placement evicts the first back.
+//!
 //! All window arithmetic is done in `u64`: `estart + II` can exceed `u32` for
 //! long-latency chains at large IIs, which used to wrap (release) or panic
 //! (debug).  An attempt that would have to place an operation beyond
@@ -37,7 +52,8 @@ use crate::mrt::Mrt;
 use crate::priority::height_r_into;
 
 /// Reusable backing storage of one scheduling attempt: the placement arrays,
-/// the ready heap, the MRT grids and the cluster ranking buffer.
+/// the ready heap, the MRT grids, the cluster ranking buffer and the
+/// recurrence checkpoint.
 ///
 /// One engine attempt performs a dozen allocations; an II search multiplies
 /// that by the number of attempts, and a corpus compile by the number of loops.
@@ -59,7 +75,33 @@ pub struct SchedScratch {
     /// refills use `BinaryHeap::from`'s O(n) heapify).
     ready: Vec<(i64, Reverse<u32>)>,
     ranked: Vec<ClusterId>,
+    checkpoint: Checkpoint,
     validate: vliw_ddg::ValidateScratch,
+}
+
+/// The placement state a run saved last, for its recurrence check: the
+/// per-op arrays that decide every later step of the attempt, plus their hash.
+#[derive(Debug, Default)]
+struct Checkpoint {
+    hash: u64,
+    start: Vec<Option<u32>>,
+    fu_of: Vec<FuId>,
+    prev_start: Vec<u64>,
+    never_scheduled: Vec<bool>,
+}
+
+/// Zobrist-style key of operation `i`'s placement state: its last start cycle
+/// and, while it is scheduled, its unit.  Operations that were never placed
+/// contribute no key, so a fresh attempt hashes to 0 and the state hash is the
+/// XOR of the placed operations' keys.
+#[inline]
+fn op_key(i: usize, time: u64, fu: Option<FuId>) -> u64 {
+    let unit = fu.map_or(0, |f| u64::from(f.0) + 1);
+    // SplitMix64's finaliser over (op, unit) mixed with the cycle.
+    let mut x = ((i as u64) << 32 | unit).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ time;
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
 }
 
 impl SchedScratch {
@@ -84,6 +126,12 @@ pub enum Eligibility {
 
 /// The per-scheduler part of the placement loop: which clusters may host an
 /// operation, and which inter-cluster value flows are illegal.
+///
+/// **Contract:** both methods are deterministic functions of their arguments
+/// and of the engine's placement state (which operations are placed, where
+/// and when).  They may keep reusable buffers, but no state that carries over
+/// from one call to the next.  The engine's recurrence exit relies on this: a
+/// repeated placement state must imply a repeated future.
 pub trait ClusterPolicy {
     /// Computes the clusters eligible to host `op`, best first, into `ranked`.
     ///
@@ -138,6 +186,10 @@ pub struct PlacementEngine<'a> {
     mrt: Mrt,
     ready: BinaryHeap<(i64, Reverse<u32>)>,
     ranked_buf: Vec<ClusterId>,
+    /// XOR of [`op_key`] over the placed operations, kept by every place and
+    /// unschedule.
+    state_hash: u64,
+    checkpoint: Checkpoint,
 }
 
 impl<'a> PlacementEngine<'a> {
@@ -189,6 +241,8 @@ impl<'a> PlacementEngine<'a> {
             mrt,
             ready: BinaryHeap::from(ready),
             ranked_buf,
+            state_hash: 0,
+            checkpoint: mem::take(&mut scratch.checkpoint),
         }
     }
 
@@ -203,6 +257,7 @@ impl<'a> PlacementEngine<'a> {
         scratch.mrt = self.mrt;
         scratch.ready = self.ready.into_vec();
         scratch.ranked = self.ranked_buf;
+        scratch.checkpoint = self.checkpoint;
     }
 
     /// The dependence graph being scheduled.
@@ -252,7 +307,61 @@ impl<'a> PlacementEngine<'a> {
         let c = self.machine.fu(self.fu_of[i]).cluster;
         self.cluster_load[c.index()] = self.cluster_load[c.index()].saturating_sub(1);
         self.start[i] = None;
+        self.state_hash ^= op_key(i, self.prev_start[i], Some(self.fu_of[i]))
+            ^ op_key(i, self.prev_start[i], None);
         self.ready.push((self.heights[i], Reverse(op.0)));
+    }
+
+    /// Places the unscheduled `op` at `cycle` on `fu`, evicting the slot's
+    /// current occupant (if any) back to the ready queue.  Returns the
+    /// cluster of `fu`.
+    fn place(&mut self, op: OpId, cycle: u32, fu: FuId) -> ClusterId {
+        let i = op.index();
+        debug_assert!(self.start[i].is_none(), "{op:?} is already placed");
+        if let Some(victim) = self.mrt.release(cycle, fu) {
+            self.mark_unscheduled(victim);
+        }
+        self.mrt.reserve(cycle, fu, op);
+        let time = u64::from(cycle);
+        if !self.never_scheduled[i] {
+            self.state_hash ^= op_key(i, self.prev_start[i], None);
+        }
+        self.state_hash ^= op_key(i, time, Some(fu));
+        self.start[i] = Some(cycle);
+        self.fu_of[i] = fu;
+        self.prev_start[i] = time;
+        self.never_scheduled[i] = false;
+        let c = self.machine.fu(fu).cluster;
+        self.cluster_load[c.index()] += 1;
+        c
+    }
+
+    /// Saves the placement state as the checkpoint later states are compared
+    /// against.
+    fn save_checkpoint(&mut self) {
+        let cp = &mut self.checkpoint;
+        cp.hash = self.state_hash;
+        cp.start.clone_from(&self.start);
+        cp.fu_of.clone_from(&self.fu_of);
+        cp.prev_start.clone_from(&self.prev_start);
+        cp.never_scheduled.clone_from(&self.never_scheduled);
+    }
+
+    /// True if the placement state equals the checkpoint.  The hash rejects
+    /// almost every mismatch; a match is confirmed on the full arrays, so a
+    /// collision can never end an attempt.  The unit of an unscheduled
+    /// operation is stale and plays no part in the state.
+    fn at_checkpoint(&self) -> bool {
+        let cp = &self.checkpoint;
+        self.state_hash == cp.hash
+            && self.start == cp.start
+            && self.prev_start == cp.prev_start
+            && self.never_scheduled == cp.never_scheduled
+            && self
+                .start
+                .iter()
+                .zip(self.fu_of.iter().zip(&cp.fu_of))
+                .all(|(s, (a, b))| s.is_none() || a == b)
     }
 
     /// Pops the highest-priority unscheduled operation (height, then lowest
@@ -292,6 +401,10 @@ impl<'a> PlacementEngine<'a> {
     /// Runs the placement loop until every operation is scheduled or the budget
     /// is exhausted.  Returns the per-op start times and unit assignments.
     ///
+    /// The run also fails as soon as its placement state repeats (see the
+    /// module docs): from then on it could only cycle until the budget ran
+    /// out, so the result is the same.
+    ///
     /// The engine survives the run (`&mut self`) so its buffers can be
     /// [recycled](PlacementEngine::recycle) into a [`SchedScratch`].
     pub fn run<P: ClusterPolicy>(
@@ -316,6 +429,12 @@ impl<'a> PlacementEngine<'a> {
         let ddg = self.ddg;
         let ii = self.ii;
         let mut budget = budget as i64;
+        // Brent's cycle detection: every state is compared with the
+        // checkpoint, which moves to the current state after 1, 2, 4, ...
+        // placements, so a recurrence of period λ is caught within about
+        // two periods of the first repeated state once the stride reaches λ.
+        self.save_checkpoint();
+        let (mut stride, mut since_checkpoint) = (1u64, 0u64);
 
         while let Some(op) = self.pop_ready() {
             budget -= 1;
@@ -393,19 +512,7 @@ impl<'a> PlacementEngine<'a> {
                 }
             };
 
-            let cycle = time as u32;
-            // Evict the current occupant of the chosen slot, if any.
-            if let Some(victim) = self.mrt.release(cycle, fu) {
-                self.mark_unscheduled(victim);
-            }
-            self.mrt.reserve(cycle, fu, op);
-            let i = op.index();
-            self.start[i] = Some(cycle);
-            self.fu_of[i] = fu;
-            self.prev_start[i] = time;
-            self.never_scheduled[i] = false;
-            let placed_cluster = self.machine.fu(fu).cluster;
-            self.cluster_load[placed_cluster.index()] += 1;
+            let placed_cluster = self.place(op, time as u32, fu);
 
             // Unschedule already-placed operations whose dependences with `op`
             // are now violated — and, under a restrictive policy, flow
@@ -444,6 +551,16 @@ impl<'a> PlacementEngine<'a> {
                         self.unschedule(e.src);
                     }
                 }
+            }
+
+            since_checkpoint += 1;
+            if self.at_checkpoint() {
+                return None; // a state recurrence: the attempt cannot converge
+            }
+            if since_checkpoint == stride {
+                self.save_checkpoint();
+                stride *= 2;
+                since_checkpoint = 0;
             }
         }
 
@@ -487,7 +604,7 @@ pub fn run_placement_with<P: ClusterPolicy>(
 mod tests {
     use super::*;
     use crate::priority::height_r;
-    use vliw_ddg::{DdgBuilder, LatencyModel, OpKind};
+    use vliw_ddg::{DdgBuilder, LatencyModel, OpClass, OpKind};
 
     fn machine(fus: usize) -> Machine {
         Machine::single_cluster(fus, 2, 32, LatencyModel::default())
@@ -641,6 +758,34 @@ mod tests {
                 }
             }
         }
+
+        // Random corpus bodies at IIs from their RecMII (below the ResMII
+        // the units are oversubscribed and every attempt fails) up past their
+        // MII, with budgets from one placement per operation upwards.  The
+        // scan has no recurrence exit, so the engine must fail on exactly the
+        // same attempts: an early `None` is only ever the `None` of the budget.
+        let corpus = vliw_loopgen::generate_corpus(&vliw_loopgen::CorpusConfig::small(96, 386));
+        let mut failures = 0;
+        for (idx, lp) in corpus.iter().enumerate() {
+            let g = &lp.ddg;
+            let n = g.num_ops() as u32;
+            for fus in [3, 6, 12] {
+                let m = machine(fus);
+                let mii = crate::mii::mii(g, &m).unwrap();
+                for ii in crate::mii::rec_mii(g).max(1)..=mii + 1 {
+                    for budget in [n, 4 * n, 6 * n, 16 * n] {
+                        let engine = run_placement(g, &m, ii, budget, &AnyClusterPolicy);
+                        assert_eq!(
+                            engine,
+                            naive_schedule_at(g, &m, ii, budget),
+                            "loop {idx}: engine diverges at II {ii}, budget {budget}, {fus} FUs"
+                        );
+                        failures += usize::from(engine.is_none());
+                    }
+                }
+            }
+        }
+        assert!(failures > 0, "no attempt failed: the comparison never covered `None`");
     }
 
     #[test]
@@ -661,6 +806,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn recurrence_check_tells_every_state_component_apart() {
+        // The exit is exact only if the compared state holds everything the
+        // loop reads: whether each op is placed, its last start cycle (forced
+        // placement continues from it while the op is unscheduled), its unit
+        // while placed, and whether it was ever placed.  The stale unit of an
+        // unscheduled op is not part of the state.
+        let mut b = DdgBuilder::new(LatencyModel::unit());
+        let op = b.op(OpKind::Add);
+        let g = b.finish();
+        let m = machine(6);
+        let [f0, f1, ..] = *m.fu_ids_of_class(OpClass::Adder) else {
+            panic!("six compute units include two adders");
+        };
+        let mut e = PlacementEngine::new(&g, &m, 4);
+        e.save_checkpoint();
+        e.place(op, 0, f0);
+        e.unschedule(op);
+        assert!(!e.at_checkpoint(), "ever placed");
+        e.save_checkpoint();
+        e.place(op, 0, f0);
+        assert!(!e.at_checkpoint(), "placed");
+        e.unschedule(op);
+        assert!(e.at_checkpoint(), "the same state again");
+        e.place(op, 1, f0);
+        e.unschedule(op);
+        assert!(!e.at_checkpoint(), "last start cycle");
+        e.place(op, 0, f1);
+        e.unschedule(op);
+        assert!(e.at_checkpoint(), "an unscheduled op's stale unit");
+        e.place(op, 0, f0);
+        e.save_checkpoint();
+        e.unschedule(op);
+        e.place(op, 0, f1);
+        assert!(!e.at_checkpoint(), "unit while placed");
     }
 
     #[test]
