@@ -24,38 +24,41 @@
 //! Chrome `trace_event` JSON of the run and print a per-stage breakdown on
 //! stderr — in-process only, stdout stays byte-identical); the `sweep`
 //! subcommand additionally takes `--grid small|paper|full|huge`,
-//! `--classify dynamic|static`, `--prune true` (the certificate-pruned driver:
-//! one bounds consultation per machine shape, verdict-identical rows plus a
-//! `prune` accounting section) and `--audit N` (re-derive N seeded-random
-//! (config, loop) pairs exhaustively and assert the verdicts agree).  The
-//! `metrics` subcommand scrapes a daemon's
-//! telemetry (`--server` required) as Prometheus text on stdout.  The output of a full-corpus text run is
+//! `--classify dynamic|static`, `--prune true` (attach the driver's
+//! certificate accounting — consultations, pruned pairs, per-code counts — as
+//! a `prune` section; the rows are the same without it) and `--audit N` (with
+//! `--prune true`: re-derive N seeded-random (config, loop) pairs through the
+//! per-config classification and report how many agree).  The `metrics`
+//! subcommand scrapes a daemon's telemetry (`--server` required) as
+//! Prometheus text on stdout.  The output of a full-corpus text run is
 //! recorded in EXPERIMENTS.md next to the numbers reported by the paper; the
 //! JSON format is what CI's bench-smoke job archives and what
 //! `baselines/figures_small.json` (and, for `simulate` / `sweep` / `verify`,
 //! `baselines/sim_small.json` / `baselines/sweep_small.json` /
-//! `baselines/verify_small.json`) pins.  A
-//! `--server` run produces byte-identical stdout to the in-process run: the
-//! daemon answers with the same typed rows, re-serialized through the same
-//! report structs.
+//! `baselines/verify_small.json`) pins; the `baselines/*.txt` files pin the
+//! text format.
 //!
-//! All selected experiments run through one shared compilation session — in
-//! this process or in the daemon's — so overlapping sweep points compile once.
+//! Every selection runs as one batch of `ExperimentRequest`s, executed through
+//! `ExperimentRequest::run` over one shared compilation session — in this
+//! process or in the daemon's — so overlapping sweep points compile once, and
+//! a `--server` run produces byte-identical stdout to the in-process run.  The
+//! responses go through one emit path: JSON prints the single simulate, sweep
+//! or verify report as is and assembles figure responses into a
+//! `FiguresReport`; text prints one titled section per response.
 //! The session's cache statistics (`compilations`, `hits`, `disk hits`,
 //! `unique_keys`) are reported as a trailing section in text mode and as a
 //! one-line JSON object on **stderr** in JSON mode — stdout stays
 //! byte-identical to the baseline report, so redirecting it still produces a
-//! valid `FiguresReport` document.
+//! valid document.
 
 use std::process::ExitCode;
 
+use serde::Serialize;
 use vliw_bench::{
-    assemble_report, cli, render_simulate_text, render_stats, render_stream_text,
-    render_sweep_text, render_text, render_verify_text, requests_for, run_experiments_in,
-    run_pruned_sweep_in, run_simulate_in, run_stream, run_sweep_in, run_verify_in, validate_server,
-    FiguresReport, OutputFormat, RunConfig, Selection, ServeClient,
+    assemble_report, cli, render_section, render_stats, render_stream_text, requests_for,
+    run_stream, validate_server, OutputFormat, RunConfig, Selection, ServeClient,
 };
-use vliw_core::experiments::{ExperimentResponse, SimulateReport, SweepReport, VerifyReport};
+use vliw_core::experiments::{ExperimentRequest, ExperimentResponse};
 use vliw_core::{Session, SessionStats, VliwError};
 
 /// Where this run's experiments execute: an in-process session, or a
@@ -107,81 +110,17 @@ impl Backend {
         }
     }
 
-    /// Runs the figure experiments of `selection` into one report.
-    fn figures(&mut self, selection: Selection, run: &RunConfig) -> Result<FiguresReport, String> {
+    /// Runs a batch of requests in order — through `ExperimentRequest::run`
+    /// over the in-process session, or on the daemon, which does the same.
+    fn run(
+        &mut self,
+        requests: Vec<ExperimentRequest>,
+    ) -> Result<Vec<ExperimentResponse>, VliwError> {
         match self {
-            Backend::Local(session) => {
-                run_experiments_in(session, selection).map_err(|e| e.to_string())
-            }
-            Backend::Remote(client, _) => {
-                let responses = client
-                    .run(requests_for(selection, run.grid, run.classify, run.prune, run.audit))
-                    .map_err(|e| e.to_string())?;
-                assemble_report(run.corpus_size, run.seed, responses).map_err(|e| e.to_string())
-            }
+            Backend::Local(session) => requests.iter().map(|r| r.run(session)).collect(),
+            Backend::Remote(client, _) => client.run(requests),
         }
     }
-
-    /// Runs the cycle-accurate simulation experiment.
-    fn simulate(&mut self, run: &RunConfig) -> Result<SimulateReport, String> {
-        match self {
-            Backend::Local(session) => run_simulate_in(session).map_err(|e| e.to_string()),
-            Backend::Remote(client, _) => match one_response(client, Selection::Simulate, run)? {
-                ExperimentResponse::Simulate(report) => Ok(report),
-                other => Err(wrong_document("simulate", &other)),
-            },
-        }
-    }
-
-    /// Runs the Fig. 7 design-space sweep (certificate-pruned with `--prune
-    /// true`).
-    fn sweep(&mut self, run: &RunConfig) -> Result<SweepReport, String> {
-        match self {
-            Backend::Local(session) => if run.prune {
-                run_pruned_sweep_in(session, run.grid, run.classify, run.audit)
-            } else {
-                run_sweep_in(session, run.grid, run.classify)
-            }
-            .map_err(|e| e.to_string()),
-            Backend::Remote(client, _) => match one_response(client, Selection::Sweep, run)? {
-                ExperimentResponse::Sweep(report) => Ok(report),
-                other => Err(wrong_document("sweep", &other)),
-            },
-        }
-    }
-
-    /// Runs the static-verification experiment.
-    fn verify(&mut self, run: &RunConfig) -> Result<VerifyReport, String> {
-        match self {
-            Backend::Local(session) => run_verify_in(session).map_err(|e| e.to_string()),
-            Backend::Remote(client, _) => match one_response(client, Selection::Verify, run)? {
-                ExperimentResponse::Verify(report) => Ok(report),
-                other => Err(wrong_document("verify", &other)),
-            },
-        }
-    }
-}
-
-/// Runs a single-document selection on the daemon and returns its one response.
-fn one_response(
-    client: &mut ServeClient,
-    selection: Selection,
-    run: &RunConfig,
-) -> Result<ExperimentResponse, String> {
-    let mut responses = client
-        .run(requests_for(selection, run.grid, run.classify, run.prune, run.audit))
-        .map_err(|e| e.to_string())?;
-    match responses.len() {
-        1 => Ok(responses.remove(0)),
-        n => {
-            Err(VliwError::Protocol(format!("expected one response document, got {n}")).to_string())
-        }
-    }
-}
-
-/// Diagnoses a daemon answering a single-document request with the wrong kind.
-fn wrong_document(asked: &str, got: &ExperimentResponse) -> String {
-    format!("asked the server for `{asked}`, it answered `{}`", got.name())
 }
 
 /// Serializes and prints one report document on stdout (pretty) and the session
@@ -240,79 +179,36 @@ fn run_selection(selection: Selection, run: &RunConfig) -> Result<(), String> {
     }
 
     let mut backend = Backend::open(run)?;
-
-    if selection == Selection::Simulate {
-        let report = backend.simulate(run)?;
-        let stats = backend.stats()?;
-        match run.format {
-            OutputFormat::Json => emit_json(&report, &stats)?,
-            OutputFormat::Text => {
-                println!(
-                    "# Simulation run: {} loops, seed {}, {} threads\n",
-                    report.corpus_size,
-                    report.seed,
-                    backend.threads()
-                );
-                print!("{}", render_simulate_text(&report));
-                println!();
-                print!("{}", render_stats(&stats));
-            }
-        }
-        return Ok(());
-    }
-
-    if selection == Selection::Verify {
-        let report = backend.verify(run)?;
-        let stats = backend.stats()?;
-        match run.format {
-            OutputFormat::Json => emit_json(&report, &stats)?,
-            OutputFormat::Text => {
-                println!(
-                    "# Verification run: {} loops, seed {}, {} threads\n",
-                    report.corpus_size,
-                    report.seed,
-                    backend.threads()
-                );
-                print!("{}", render_verify_text(&report));
-                println!();
-                print!("{}", render_stats(&stats));
-            }
-        }
-        return Ok(());
-    }
-
-    if selection == Selection::Sweep {
-        let report = backend.sweep(run)?;
-        let stats = backend.stats()?;
-        match run.format {
-            OutputFormat::Json => emit_json(&report, &stats)?,
-            OutputFormat::Text => {
-                println!(
-                    "# Design-space sweep: {} loops, seed {}, {} threads\n",
-                    report.corpus_size,
-                    report.seed,
-                    backend.threads()
-                );
-                print!("{}", render_sweep_text(&report));
-                println!();
-                print!("{}", render_stats(&stats));
-            }
-        }
-        return Ok(());
-    }
-
-    let report = backend.figures(selection, run)?;
+    let responses = backend.run(requests_for(selection, run)).map_err(|e| e.to_string())?;
     let stats = backend.stats()?;
     match run.format {
-        OutputFormat::Json => emit_json(&report, &stats)?,
+        OutputFormat::Json => {
+            let document = match responses.as_slice() {
+                [one @ (ExperimentResponse::Simulate(_)
+                | ExperimentResponse::Sweep(_)
+                | ExperimentResponse::Verify(_))] => one.document(),
+                _ => assemble_report(run.corpus_size, run.seed, responses)
+                    .map_err(|e| e.to_string())?
+                    .serialize(),
+            };
+            emit_json(&document, &stats)?;
+        }
         OutputFormat::Text => {
+            let title = match selection {
+                Selection::Simulate => "Simulation run",
+                Selection::Sweep => "Design-space sweep",
+                Selection::Verify => "Verification run",
+                _ => "Reproduction run",
+            };
             println!(
-                "# Reproduction run: {} loops, seed {}, {} threads\n",
-                report.corpus_size,
-                report.seed,
+                "# {title}: {} loops, seed {}, {} threads\n",
+                run.corpus_size,
+                run.seed,
                 backend.threads()
             );
-            print!("{}", render_text(&report));
+            for response in &responses {
+                print!("{}", render_section(response));
+            }
             println!();
             print!("{}", render_stats(&stats));
         }

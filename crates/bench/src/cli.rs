@@ -94,15 +94,16 @@ pub fn command() -> Command {
                 )
                 .arg(
                     Arg::new("prune").long("prune").value_name("BOOL").default_value("false").help(
-                        "Use the certificate-pruned driver: one bounds \
-                             consultation per machine shape instead of one \
-                             classification per config (verdict-identical)",
+                        "Attach the sweep driver's certificate accounting \
+                             (consultations, pruned pairs, per-code counts) to \
+                             the report and allow --audit; the rows are the same",
                     ),
                 )
                 .arg(Arg::new("audit").long("audit").value_name("N").default_value("0").help(
                     "With --prune true: re-derive N seeded-random \
-                             (config, loop) pairs through the exhaustive path \
-                             and assert the verdicts agree",
+                             (config, loop) pairs through the per-config \
+                             classification and report how many agree \
+                             (at most the grid's pair count)",
                 )),
         )
         .subcommand(

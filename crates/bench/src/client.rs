@@ -75,18 +75,23 @@ impl ServeClient {
         }
     }
 
-    /// Runs experiments over the daemon's session, in order.
+    /// Runs experiments over the daemon's session, in order.  Each response
+    /// must answer the request in its position (same experiment name).
     pub fn run(
         &mut self,
         requests: Vec<ExperimentRequest>,
     ) -> Result<Vec<ExperimentResponse>, VliwError> {
-        let expected = requests.len();
+        let asked: Vec<&str> = requests.iter().map(ExperimentRequest::name).collect();
         match self.round_trip(WireRequest::Run(requests))? {
-            WireResponse::Run(responses) if responses.len() == expected => Ok(responses),
-            WireResponse::Run(responses) => Err(VliwError::Protocol(format!(
-                "server answered {} experiments, expected {expected}",
-                responses.len()
-            ))),
+            WireResponse::Run(responses) => {
+                let answered: Vec<&str> = responses.iter().map(ExperimentResponse::name).collect();
+                if answered != asked {
+                    return Err(VliwError::Protocol(format!(
+                        "asked the server for {asked:?}, it answered {answered:?}"
+                    )));
+                }
+                Ok(responses)
+            }
             other => Err(unexpected("run", &other)),
         }
     }

@@ -16,7 +16,11 @@
 //! is generated once, overlapping sweep points across drivers compile once, and
 //! the CLI reports the session's cache statistics (stdout in text mode, a small
 //! JSON object on stderr in JSON mode — stdout stays byte-identical to the
-//! baseline format).
+//! baseline format).  Every selection becomes a batch of
+//! [`ExperimentRequest`]s ([`requests_for`]) executed through
+//! [`ExperimentRequest::run`] — in this process or in a `vliw-serve` daemon —
+//! and the responses are assembled ([`assemble_report`]) or rendered
+//! ([`render_section`]) the same way either side ran them.
 
 pub mod cli;
 pub mod client;
@@ -24,14 +28,8 @@ pub mod perf;
 
 use serde::{Deserialize, Serialize};
 use vliw_core::experiments::{
-    cluster_resources_experiment, copy_cost_experiment, fig3_experiment, fig4_experiment,
-    fig6_experiment, fig8_experiment, fig9_experiment, pruned_sweep_experiment_with,
-    simulate_experiment, sweep_experiment_with, verify_experiment, Classify, ClusterResourcesRow,
-    CopyCostRow, ExperimentConfig, ExperimentRequest, ExperimentResponse, Fig3Row, Fig4Row,
-    Fig6Row, IpcCurvePoint, SimulateReport, SweepReport, VerifyReport,
-};
-use vliw_core::experiments::{
-    copy_cost, fig3, fig4, fig6, ipc, resources, simulate, sweep, verify,
+    Classify, ClusterResourcesRow, CopyCostRow, ExperimentConfig, ExperimentRequest,
+    ExperimentResponse, Fig3Row, Fig4Row, Fig6Row, IpcCurvePoint, SweepReport,
 };
 use vliw_core::pipeline::CompilerConfig;
 use vliw_core::session::{compile_stream, Session, SessionStats, StreamConfig, StreamReport};
@@ -194,14 +192,14 @@ pub struct RunConfig {
     /// loop) or static (prove the peaks with the verifier).  Ignored by every
     /// other selection.
     pub classify: Classify,
-    /// Use the certificate-pruned sweep driver (the `sweep` subcommand's
-    /// `--prune true`): one bounds consultation per machine shape instead of
-    /// one classification per config, with verdict-identical rows.  Ignored by
-    /// every other selection.
+    /// Attach the sweep driver's certificate accounting to the report and
+    /// allow `audit` (the `sweep` subcommand's `--prune true`); the rows are
+    /// the same either way.  Ignored by every other selection.
     pub prune: bool,
-    /// Number of seeded-random (config, loop) pairs the pruned sweep re-derives
-    /// through the exhaustive path to audit verdict agreement (the `sweep`
-    /// subcommand's `--audit N`; 0 = no audit).  Ignored without `prune`.
+    /// Number of seeded-random (config, loop) pairs the sweep re-derives
+    /// through the per-config classification to audit verdict agreement (the
+    /// `sweep` subcommand's `--audit N`; 0 = no audit).  Ignored without
+    /// `prune`.
     pub audit: usize,
     /// Shard size of the `stream` subcommand (ignored by every other
     /// selection).
@@ -286,118 +284,31 @@ pub struct FiguresReport {
     pub fig9_ipc: Option<Vec<IpcCurvePoint>>,
 }
 
-/// Runs the selected experiments over a shared compilation session.
+/// Runs the selected figure experiments over a shared compilation session:
+/// the selection's [`requests_for`] batch through [`ExperimentRequest::run`],
+/// assembled into one report.
 ///
 /// The corpus is generated once (by the session), identical sweep points across
 /// drivers compile once, and `session.stats()` afterwards tells how much work the
-/// cache shared — the `figures` CLI reports those numbers.
-///
-/// # Panics
-///
-/// Panics on [`Selection::Simulate`] and [`Selection::Sweep`]: those produce
-/// their own report documents ([`SimulateReport`] / [`SweepReport`]), not a
-/// [`FiguresReport`] — route them to [`run_simulate_in`] / [`run_sweep_in`]
-/// instead (as the `figures` binary does).
+/// cache shared — the `figures` CLI reports those numbers.  Selections that are
+/// not figure runs (`simulate`, `sweep`, `stream`, `verify`, `metrics` — their
+/// reports are separate documents) are rejected as
+/// [`VliwError::InvalidRequest`] before any work.
 pub fn run_experiments_in(
     session: &Session,
     selection: Selection,
 ) -> Result<FiguresReport, VliwError> {
-    assert!(
-        selection != Selection::Simulate,
-        "Selection::Simulate produces a SimulateReport; call run_simulate_in"
-    );
-    assert!(
-        selection != Selection::Sweep,
-        "Selection::Sweep produces a SweepReport; call run_sweep_in"
-    );
-    assert!(
-        selection != Selection::Stream,
-        "Selection::Stream produces a StreamReport; call run_stream"
-    );
-    assert!(
-        selection != Selection::Verify,
-        "Selection::Verify produces a VerifyReport; call run_verify_in"
-    );
-    assert!(
-        selection != Selection::Metrics,
-        "Selection::Metrics scrapes a daemon; it never runs in-process"
-    );
-    Ok(FiguresReport {
-        corpus_size: session.config().corpus.num_loops,
-        seed: session.config().corpus.seed,
-        fig3: run_if(selection.runs(Selection::Fig3), || fig3_experiment(session))?,
-        copy_cost: run_if(selection.runs(Selection::CopyCost), || copy_cost_experiment(session))?,
-        fig4: run_if(selection.runs(Selection::Fig4), || fig4_experiment(session))?,
-        fig6: run_if(selection.runs(Selection::Fig6), || fig6_experiment(session))?,
-        cluster_resources: run_if(selection.runs(Selection::Resources), || {
-            cluster_resources_experiment(session, &RESOURCE_CLUSTER_COUNTS)
-        })?,
-        fig8_ipc: run_if(selection.runs(Selection::Ipc), || fig8_experiment(session))?,
-        fig9_ipc: run_if(selection.runs(Selection::Ipc), || fig9_experiment(session))?,
-    })
-}
-
-/// Runs `f` when `wanted`, lifting the driver's `Result` over the `Option`.
-fn run_if<T>(
-    wanted: bool,
-    f: impl FnOnce() -> Result<T, VliwError>,
-) -> Result<Option<T>, VliwError> {
-    if wanted {
-        f().map(Some)
-    } else {
-        Ok(None)
+    if !Selection::All.runs(selection) {
+        return Err(VliwError::InvalidRequest(format!(
+            "{selection:?} produces its own report document, not a figure report"
+        )));
     }
-}
-
-/// Runs the selected experiments in a fresh session, discarding the cache
-/// statistics.  Convenience wrapper for callers that only need the report (the
-/// golden-baseline test, library users).
-pub fn run_experiments(selection: Selection, run: &RunConfig) -> Result<FiguresReport, VliwError> {
-    run_experiments_in(&Session::new(run.experiment_config()), selection)
-}
-
-/// Runs the simulated-IPC experiment (the `figures simulate` subcommand) over a
-/// shared compilation session.  The schedules are compiled through the same
-/// memo store the figure drivers use, so a session that already ran `all` only
-/// pays for the simulation itself.
-pub fn run_simulate_in(session: &Session) -> Result<SimulateReport, VliwError> {
-    simulate_experiment(session)
-}
-
-/// Runs the Fig. 7 design-space sweep (the `figures sweep` subcommand) over a
-/// shared compilation session.  Grid points sharing a machine shape compile and
-/// simulate (or verify) once; the session's cache statistics afterwards show
-/// the hit rate.
-pub fn run_sweep_in(
-    session: &Session,
-    grid: SweepGrid,
-    classify: Classify,
-) -> Result<SweepReport, VliwError> {
-    sweep_experiment_with(session, grid, classify)
-}
-
-/// Runs the certificate-pruned design-space sweep (the `figures sweep --prune
-/// true` invocation) over a shared compilation session.  The bounds analyzer
-/// is consulted once per (machine shape, loop) pair and the per-config rows
-/// are recovered by threshold transfer — verdict-identical to
-/// [`run_sweep_in`], with the [`vliw_core::experiments::PruneReport`]
-/// accounting attached to the report.  `audit` seeded-random (config, loop)
-/// pairs are re-derived through the exhaustive path and compared.
-pub fn run_pruned_sweep_in(
-    session: &Session,
-    grid: SweepGrid,
-    classify: Classify,
-    audit: usize,
-) -> Result<SweepReport, VliwError> {
-    pruned_sweep_experiment_with(session, grid, classify, audit)
-}
-
-/// Runs the static-verification experiment (the `figures verify` subcommand)
-/// over a shared compilation session.  Every verdict is memoised next to the
-/// compilation that produced it, so a session that already ran `all` pays only
-/// for the verification itself — and a repeat run pays nothing.
-pub fn run_verify_in(session: &Session) -> Result<VerifyReport, VliwError> {
-    verify_experiment(session)
+    let responses = requests_for(selection, &RunConfig::default())
+        .iter()
+        .map(|request| request.run(session))
+        .collect::<Result<_, _>>()?;
+    let corpus = &session.config().corpus;
+    assemble_report(corpus.num_loops, corpus.seed, responses)
 }
 
 /// Runs the streamed-compile experiment (the `figures stream` subcommand):
@@ -438,21 +349,20 @@ pub fn render_stream_text(report: &StreamReport) -> String {
     out
 }
 
-/// The wire requests a `figures` selection translates to, in report order.
+/// The requests a `figures` selection translates to, in report order.
 ///
 /// [`Selection::Ipc`] expands to both IPC curves; [`Selection::All`] to the
-/// full figure sweep (everything a [`FiguresReport`] holds).  `grid`,
-/// `classify`, `prune` and `audit` only matter for [`Selection::Sweep`].
-pub fn requests_for(
-    selection: Selection,
-    grid: SweepGrid,
-    classify: Classify,
-    prune: bool,
-    audit: usize,
-) -> Vec<ExperimentRequest> {
+/// full figure sweep (everything a [`FiguresReport`] holds).  Only
+/// [`Selection::Sweep`] reads `run` (its grid, classify, prune and audit).
+pub fn requests_for(selection: Selection, run: &RunConfig) -> Vec<ExperimentRequest> {
     match selection {
         Selection::Simulate => vec![ExperimentRequest::Simulate],
-        Selection::Sweep => vec![ExperimentRequest::Sweep { grid, classify, prune, audit }],
+        Selection::Sweep => vec![ExperimentRequest::Sweep {
+            grid: run.grid,
+            classify: run.classify,
+            prune: run.prune,
+            audit: run.audit,
+        }],
         Selection::Verify => vec![ExperimentRequest::Verify],
         // A streamed run has no wire form: it measures this process's memory,
         // so the `figures` binary rejects `--server` before asking.
@@ -488,11 +398,11 @@ pub fn requests_for(
     }
 }
 
-/// Assembles a [`FiguresReport`] from daemon responses.
+/// Assembles a [`FiguresReport`] from figure-run responses.
 ///
-/// The responses self-identify, so order does not matter; a `simulate` or
-/// `sweep` document in the batch is a protocol error (those are separate
-/// reports, never part of a figure run).
+/// The responses self-identify, so order does not matter; a `simulate`,
+/// `sweep` or `verify` document in the batch is a protocol error (those are
+/// separate reports, never part of a figure run).
 pub fn assemble_report(
     corpus_size: usize,
     seed: u64,
@@ -531,18 +441,35 @@ pub fn assemble_report(
     Ok(report)
 }
 
-/// Renders a design-space-sweep report in the human-readable EXPERIMENTS.md
-/// format.
-pub fn render_sweep_text(report: &SweepReport) -> String {
-    let mut out = format!(
-        "## Fig. 7 design-space sweep — grid `{}` ({} configs, {} machine shapes, N = {})\n\n{}\n",
-        report.grid,
-        report.configs,
-        report.shapes,
-        report.trip_count,
-        sweep::render(&report.rows).render()
-    );
-    if let Some(prune) = &report.prune {
+/// Renders one response as a text section in the EXPERIMENTS.md format: a
+/// `##` title over [`ExperimentResponse::render_table`], followed, for a sweep
+/// that asked for it, by the certificate accounting.
+pub fn render_section(response: &ExperimentResponse) -> String {
+    let title: String = match response {
+        ExperimentResponse::Fig3(_) => "Fig. 3 — Number of queues (cumulative % of loops)".into(),
+        ExperimentResponse::CopyCost(_) => "Section 2 — Cost of copy operations".into(),
+        ExperimentResponse::Fig4(_) => "Fig. 4 — II speedup from loop unrolling".into(),
+        ExperimentResponse::Fig6(_) => "Fig. 6 — II variation of partitioned schedules".into(),
+        ExperimentResponse::Resources(_) => "Fig. 7 / Section 4 — Cluster resource sizing".into(),
+        ExperimentResponse::Fig8(_) => "Fig. 8 — Operations issued per cycle (all loops)".into(),
+        ExperimentResponse::Fig9(_) => {
+            "Fig. 9 — Operations issued per cycle (resource-constrained loops)".into()
+        }
+        ExperimentResponse::Simulate(report) => format!(
+            "Simulated IPC — cycle-accurate execution (trip counts {:?})",
+            report.trip_counts
+        ),
+        ExperimentResponse::Sweep(report) => format!(
+            "Fig. 7 design-space sweep — grid `{}` ({} configs, {} machine shapes, N = {})",
+            report.grid, report.configs, report.shapes, report.trip_count
+        ),
+        ExperimentResponse::Verify(report) => format!(
+            "Static verification — execution-free soundness proof ({} loops)",
+            report.corpus_size
+        ),
+    };
+    let mut out = format!("## {title}\n\n{}\n", response.render_table());
+    if let ExperimentResponse::Sweep(SweepReport { prune: Some(prune), .. }) = response {
         out.push_str(&format!(
             "\n## Certificate pruning\n\n\
              (config, loop) pairs  = {}\n\
@@ -564,25 +491,6 @@ pub fn render_sweep_text(report: &SweepReport) -> String {
         }
     }
     out
-}
-
-/// Renders a simulated-IPC report in the human-readable EXPERIMENTS.md format.
-pub fn render_simulate_text(report: &SimulateReport) -> String {
-    format!(
-        "## Simulated IPC — cycle-accurate execution (trip counts {:?})\n\n{}\n",
-        report.trip_counts,
-        simulate::render(&report.rows).render()
-    )
-}
-
-/// Renders a static-verification report in the human-readable EXPERIMENTS.md
-/// format.
-pub fn render_verify_text(report: &VerifyReport) -> String {
-    format!(
-        "## Static verification — execution-free soundness proof ({} loops)\n\n{}\n",
-        report.corpus_size,
-        verify::render(&report.rows).render()
-    )
 }
 
 /// Renders session cache statistics in the text-output format.
@@ -613,42 +521,10 @@ pub fn render_stats(stats: &SessionStats) -> String {
     out
 }
 
-/// Renders a report in the human-readable EXPERIMENTS.md format.
-pub fn render_text(report: &FiguresReport) -> String {
-    let mut out = String::new();
-    let mut section = |title: &str, table: String| {
-        out.push_str(&format!("## {title}\n\n{table}\n"));
-    };
-    if let Some(rows) = &report.fig3 {
-        section("Fig. 3 — Number of queues (cumulative % of loops)", fig3::render(rows).render());
-    }
-    if let Some(rows) = &report.copy_cost {
-        section("Section 2 — Cost of copy operations", copy_cost::render(rows).render());
-    }
-    if let Some(rows) = &report.fig4 {
-        section("Fig. 4 — II speedup from loop unrolling", fig4::render(rows).render());
-    }
-    if let Some(rows) = &report.fig6 {
-        section("Fig. 6 — II variation of partitioned schedules", fig6::render(rows).render());
-    }
-    if let Some(rows) = &report.cluster_resources {
-        section("Fig. 7 / Section 4 — Cluster resource sizing", resources::render(rows).render());
-    }
-    if let Some(points) = &report.fig8_ipc {
-        section("Fig. 8 — Operations issued per cycle (all loops)", ipc::render(points).render());
-    }
-    if let Some(points) = &report.fig9_ipc {
-        section(
-            "Fig. 9 — Operations issued per cycle (resource-constrained loops)",
-            ipc::render(points).render(),
-        );
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vliw_core::experiments::{SimulateReport, VerifyReport};
 
     #[test]
     fn bench_config_is_small_and_deterministic() {
@@ -688,8 +564,8 @@ mod tests {
         assert!(!Selection::All.runs(Selection::Stream));
         assert!(!Selection::All.runs(Selection::Verify));
         assert!(!Selection::All.runs(Selection::Metrics));
-        assert!(requests_for(Selection::Metrics, SweepGrid::Small, Classify::Dynamic, false, 0)
-            .is_empty());
+        let run = RunConfig::default();
+        assert!(requests_for(Selection::Metrics, &run).is_empty());
         assert!(Selection::Simulate.runs(Selection::Simulate));
         assert!(Selection::Sweep.runs(Selection::Sweep));
         assert!(Selection::Stream.runs(Selection::Stream));
@@ -698,14 +574,11 @@ mod tests {
         assert!(!Selection::Sweep.runs(Selection::Fig3));
         assert!(!Selection::Stream.runs(Selection::Fig3));
         assert!(!Selection::Verify.runs(Selection::Fig3));
-        assert!(requests_for(Selection::Stream, SweepGrid::Small, Classify::Dynamic, false, 0)
-            .is_empty());
+        assert!(requests_for(Selection::Stream, &run).is_empty());
+        assert_eq!(requests_for(Selection::Verify, &run), vec![ExperimentRequest::Verify]);
+        let run = RunConfig { classify: Classify::Static, ..run };
         assert_eq!(
-            requests_for(Selection::Verify, SweepGrid::Small, Classify::Dynamic, false, 0),
-            vec![ExperimentRequest::Verify]
-        );
-        assert_eq!(
-            requests_for(Selection::Sweep, SweepGrid::Small, Classify::Static, false, 0),
+            requests_for(Selection::Sweep, &run),
             vec![ExperimentRequest::Sweep {
                 grid: SweepGrid::Small,
                 classify: Classify::Static,
@@ -713,8 +586,9 @@ mod tests {
                 audit: 0
             }]
         );
+        let run = RunConfig { grid: SweepGrid::Huge, prune: true, audit: 64, ..run };
         assert_eq!(
-            requests_for(Selection::Sweep, SweepGrid::Huge, Classify::Static, true, 64),
+            requests_for(Selection::Sweep, &run),
             vec![ExperimentRequest::Sweep {
                 grid: SweepGrid::Huge,
                 classify: Classify::Static,
@@ -728,23 +602,25 @@ mod tests {
     fn simulate_run_reports_cleanly_and_renders() {
         let run = RunConfig { corpus_size: 6, seed: 5, threads: Some(2), ..RunConfig::default() };
         let session = Session::new(run.experiment_config());
-        let report = run_simulate_in(&session).unwrap();
+        let response = ExperimentRequest::Simulate.run(&session).unwrap();
+        let ExperimentResponse::Simulate(report) = &response else { unreachable!() };
         assert_eq!(report.corpus_size, 6);
         assert_eq!(report.total_violations(), 0);
         assert!(session.stats().sim_runs > 0);
-        let text = render_simulate_text(&report);
+        let text = render_section(&response);
         assert!(text.contains("Simulated IPC"));
         assert!(text.contains("violations"));
         let json = serde_json::to_string_pretty(&report).expect("serializable");
         let back: SimulateReport = serde_json::from_str(&json).expect("deserializable");
-        assert_eq!(back, report);
+        assert_eq!(&back, report);
     }
 
     #[test]
     fn verify_run_reports_cleanly_and_renders() {
         let run = RunConfig { corpus_size: 6, seed: 5, threads: Some(2), ..RunConfig::default() };
         let session = Session::new(run.experiment_config());
-        let report = run_verify_in(&session).unwrap();
+        let response = ExperimentRequest::Verify.run(&session).unwrap();
+        let ExperimentResponse::Verify(report) = &response else { unreachable!() };
         assert_eq!(report.corpus_size, 6);
         // Schedule faults indict the pipeline and must be zero; capacity
         // faults are a machine-sizing verdict and may legitimately fire
@@ -754,57 +630,80 @@ mod tests {
         }
         assert!(session.stats().verifications > 0);
         assert_eq!(session.stats().sim_runs, 0, "verification must not simulate");
-        let text = render_verify_text(&report);
+        let text = render_section(&response);
         assert!(text.contains("Static verification"));
         assert!(text.contains("sched faults"));
         let json = serde_json::to_string_pretty(&report).expect("serializable");
         let back: VerifyReport = serde_json::from_str(&json).expect("deserializable");
-        assert_eq!(back, report);
+        assert_eq!(&back, report);
+    }
+
+    /// Runs one sweep request over `session` and returns the response.
+    fn sweep(
+        session: &Session,
+        classify: Classify,
+        prune: bool,
+        audit: usize,
+    ) -> ExperimentResponse {
+        ExperimentRequest::Sweep { grid: SweepGrid::Small, classify, prune, audit }
+            .run(session)
+            .unwrap()
     }
 
     #[test]
     fn static_sweep_run_matches_the_dynamic_one() {
         let run = RunConfig { corpus_size: 8, seed: 386, threads: Some(2), ..RunConfig::default() };
         let session = Session::new(run.experiment_config());
-        let dynamic = run_sweep_in(&session, run.grid, Classify::Dynamic).unwrap();
-        let static_ = run_sweep_in(&session, run.grid, Classify::Static).unwrap();
+        let dynamic = sweep(&session, Classify::Dynamic, false, 0);
+        let static_ = sweep(&session, Classify::Static, false, 0);
         assert_eq!(static_, dynamic, "classification modes must agree row for row");
     }
 
     #[test]
-    fn pruned_sweep_run_matches_the_exhaustive_one_and_renders_accounting() {
+    fn pruned_sweep_run_matches_the_unpruned_one_and_renders_accounting() {
         let run = RunConfig { corpus_size: 8, seed: 386, threads: Some(2), ..RunConfig::default() };
         let session = Session::new(run.experiment_config());
-        let exhaustive = run_sweep_in(&session, run.grid, Classify::Static).unwrap();
-        let pruned = run_pruned_sweep_in(&session, run.grid, Classify::Static, 16).unwrap();
-        assert_eq!(pruned.rows, exhaustive.rows, "pruning must not change a verdict");
-        let prune = pruned.prune.as_ref().expect("a pruned run carries its accounting");
+        let plain = sweep(&session, Classify::Static, false, 0);
+        let pruned = sweep(&session, Classify::Static, true, 16);
+        let (ExperimentResponse::Sweep(plain_report), ExperimentResponse::Sweep(pruned_report)) =
+            (&plain, &pruned)
+        else {
+            unreachable!()
+        };
+        assert_eq!(pruned_report.rows, plain_report.rows, "the accounting must not move a verdict");
+        let prune = pruned_report.prune.as_ref().expect("a pruned run carries its accounting");
         assert_eq!(prune.audited, 16);
-        assert!(prune.audit_clean(), "audited pairs must agree with the exhaustive path");
-        let text = render_sweep_text(&pruned);
+        assert!(prune.audit_clean(), "audited pairs must agree with the per-config oracle");
+        let text = render_section(&pruned);
         assert!(text.contains("Certificate pruning"));
         assert!(text.contains("B006-MONOTONE"));
         assert!(text.contains("audited"));
-        // The exhaustive report renders without the accounting section.
-        assert!(!render_sweep_text(&exhaustive).contains("Certificate pruning"));
+        // Without `prune` the report renders without the accounting section.
+        assert!(!render_section(&plain).contains("Certificate pruning"));
     }
 
     #[test]
     fn sweep_run_reuses_the_session_and_renders() {
         let run = RunConfig { corpus_size: 8, seed: 386, threads: Some(2), ..RunConfig::default() };
         let session = Session::new(run.experiment_config());
-        let report = run_sweep_in(&session, run.grid, run.classify).unwrap();
+        let response = sweep(&session, run.classify, false, 0);
+        let ExperimentResponse::Sweep(report) = &response else { unreachable!() };
         assert_eq!(report.grid, "small");
         assert_eq!(report.rows.len(), 8);
+        // The one-consultation contract: one simulation per schedulable
+        // (shape, loop) pair — the small grid has one shape — and no grid
+        // point re-consults it.
+        let schedulable = (report.rows[0].frac_schedulable * 8.0).round() as u64;
         let stats = session.stats();
-        assert!(stats.hits > 0, "grid points sharing a machine shape must hit the cache");
-        assert!(stats.sim_hits > 0, "grid points sharing a machine shape must reuse sim runs");
-        let text = render_sweep_text(&report);
+        assert!(stats.hits > 0, "the witness reads its compilation back from the store");
+        assert_eq!(stats.sim_runs, schedulable, "one simulation per schedulable pair");
+        assert_eq!(stats.sim_hits, 0, "no grid point may re-consult a simulation");
+        let text = render_section(&response);
         assert!(text.contains("design-space sweep"));
         assert!(text.contains("storage bits"));
-        let json = serde_json::to_string_pretty(&report).expect("serializable");
+        let json = serde_json::to_string_pretty(report).expect("serializable");
         let back: SweepReport = serde_json::from_str(&json).expect("deserializable");
-        assert_eq!(back, report);
+        assert_eq!(&back, report);
     }
 
     #[test]
@@ -849,17 +748,35 @@ mod tests {
     #[test]
     fn single_selection_runs_only_its_experiment() {
         let run = RunConfig { corpus_size: 8, seed: 5, threads: Some(1), ..RunConfig::default() };
-        let report = run_experiments(Selection::Fig4, &run).unwrap();
-        assert!(report.fig4.is_some());
+        assert_eq!(requests_for(Selection::Fig4, &run), vec![ExperimentRequest::Fig4]);
+        let report =
+            run_experiments_in(&Session::new(run.experiment_config()), Selection::Fig4).unwrap();
         assert!(report.fig3.is_none());
         assert!(report.copy_cost.is_none());
         assert!(report.fig6.is_none());
         assert!(report.cluster_resources.is_none());
         assert!(report.fig8_ipc.is_none());
         assert!(report.fig9_ipc.is_none());
-        let text = render_text(&report);
+        let text = render_section(&ExperimentResponse::Fig4(report.fig4.expect("selected")));
         assert!(text.contains("Fig. 4"));
         assert!(!text.contains("Fig. 3"));
+    }
+
+    #[test]
+    fn separate_documents_are_not_figure_runs() {
+        let run = RunConfig { corpus_size: 4, seed: 5, threads: Some(1), ..RunConfig::default() };
+        let session = Session::new(run.experiment_config());
+        for selection in [
+            Selection::Simulate,
+            Selection::Sweep,
+            Selection::Stream,
+            Selection::Verify,
+            Selection::Metrics,
+        ] {
+            let err = run_experiments_in(&session, selection).unwrap_err();
+            assert_eq!(err.kind(), "invalid_request", "{selection:?}: {err}");
+        }
+        assert_eq!(session.stats().compilations, 0, "a rejected selection must not compile");
     }
 
     #[test]
@@ -962,7 +879,8 @@ mod tests {
     #[test]
     fn json_report_round_trips_through_serde() {
         let run = RunConfig { corpus_size: 8, seed: 5, threads: Some(1), ..RunConfig::default() };
-        let report = run_experiments(Selection::Fig6, &run).unwrap();
+        let report =
+            run_experiments_in(&Session::new(run.experiment_config()), Selection::Fig6).unwrap();
         let json = serde_json::to_string_pretty(&report).expect("serializable");
         let back: FiguresReport = serde_json::from_str(&json).expect("deserializable");
         assert_eq!(back, report);

@@ -18,7 +18,7 @@ use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use vliw_core::experiments::{pruned_sweep_experiment, sweep_experiment, Classify};
+use vliw_core::experiments::{pruned_sweep_experiment_with, Classify};
 use vliw_core::pipeline::CompilerConfig;
 use vliw_core::qrf::{allocate_queues, insert_copies, use_lifetimes};
 use vliw_core::sched::{modulo_schedule, ImsOptions};
@@ -248,24 +248,31 @@ pub fn collect() -> PerfReport {
             .count()
     }));
 
-    // sweep_grid — the small design-space grid, cold.
+    // sweep_grid — the small design-space grid, cold, dynamically classified
+    // (what `figures sweep` runs by default).
     probes.push(time_probe("sweep_grid/small_grid_cold", 2, 500, || {
-        sweep_experiment(&Session::new(cfg.clone()), SweepGrid::Small).unwrap()
+        pruned_sweep_experiment_with(
+            &Session::new(cfg.clone()),
+            SweepGrid::Small,
+            Classify::Dynamic,
+            0,
+        )
+        .unwrap()
     }));
 
-    // sweep — the certificate-pruned driver.  `pruned_paper` pays the full
+    // sweep — statically classified grids.  `pruned_paper` pays the full
     // cold cost of the paper grid (3 shapes consulted, 192 configs recovered
-    // by threshold transfer); `huge_smoke` times the pruned aggregation over
-    // the 103,680-config huge grid on a warm session, so the probe tracks the
+    // by threshold transfer); `huge_smoke` times the aggregation over the
+    // 103,680-config huge grid on a warm session, so the probe tracks the
     // prefix-sum machinery rather than the 60 shape compilations the warm-up
     // already paid for.
     probes.push(time_probe("sweep/pruned_paper", 2, 500, || {
-        pruned_sweep_experiment(&Session::new(cfg.clone()), SweepGrid::Paper, Classify::Static)
-            .unwrap()
+        let session = Session::new(cfg.clone());
+        pruned_sweep_experiment_with(&session, SweepGrid::Paper, Classify::Static, 0).unwrap()
     }));
     let huge_session = Session::new(cfg.clone());
     probes.push(time_probe("sweep/huge_smoke", 2, 500, || {
-        pruned_sweep_experiment(&huge_session, SweepGrid::Huge, Classify::Static).unwrap()
+        pruned_sweep_experiment_with(&huge_session, SweepGrid::Huge, Classify::Static, 0).unwrap()
     }));
 
     PerfReport { schema: PERF_SCHEMA, corpus_loops: BENCH_CORPUS_LOOPS, seed: BENCH_SEED, probes }

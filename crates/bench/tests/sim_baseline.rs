@@ -13,8 +13,8 @@
 
 use std::path::PathBuf;
 
-use vliw_bench::{run_simulate_in, OutputFormat, RunConfig};
-use vliw_core::experiments::{sim_machines, SimulateReport, SIM_TRIP_COUNTS};
+use vliw_bench::{OutputFormat, RunConfig};
+use vliw_core::experiments::{sim_machines, simulate_experiment, SimulateReport, SIM_TRIP_COUNTS};
 use vliw_core::Session;
 
 fn baseline_path() -> PathBuf {
@@ -59,7 +59,7 @@ fn rerun_matches_the_sim_baseline() {
         ..RunConfig::default()
     };
     let session = Session::new(run.experiment_config());
-    let report = run_simulate_in(&session).expect("simulation runs");
+    let report = simulate_experiment(&session).expect("simulation runs");
 
     // The memoised simulate path must actually have simulated.
     let stats = session.stats();

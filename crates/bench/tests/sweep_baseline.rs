@@ -12,16 +12,16 @@
 //!     > baselines/sweep_small.json
 //! ```
 
-//! The certificate-pruned driver has its own golden,
+//! The run with the certificate accounting attached has its own golden,
 //! `baselines/sweep_pruned_small.json`, regenerated the same way with
 //! `--prune true --audit 16` appended to the command line above.  Its rows
-//! must stay byte-identical to the exhaustive golden's — the pruning is an
-//! accounting change, never a verdict change.
+//! must stay byte-identical to the plain golden's — the accounting never
+//! changes a verdict.
 
 use std::path::PathBuf;
 
-use vliw_bench::{run_pruned_sweep_in, run_sweep_in, RunConfig};
-use vliw_core::experiments::{Classify, SweepReport};
+use vliw_bench::RunConfig;
+use vliw_core::experiments::{Classify, ExperimentRequest, ExperimentResponse, SweepReport};
 use vliw_core::{Session, SweepGrid};
 
 fn baseline_path() -> PathBuf {
@@ -30,6 +30,16 @@ fn baseline_path() -> PathBuf {
 
 fn pruned_baseline_path() -> PathBuf {
     PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../baselines/sweep_pruned_small.json")
+}
+
+/// Runs the small-grid sweep request over `session`, exactly as `figures
+/// sweep` (in process or through a daemon) does.
+fn sweep(session: &Session, classify: Classify, prune: bool, audit: usize) -> SweepReport {
+    let request = ExperimentRequest::Sweep { grid: SweepGrid::Small, classify, prune, audit };
+    match request.run(session).expect("sweep runs") {
+        ExperimentResponse::Sweep(report) => report,
+        other => panic!("asked for a sweep, got `{}`", other.name()),
+    }
 }
 
 fn load_baseline() -> (String, SweepReport) {
@@ -76,15 +86,17 @@ fn rerun_matches_the_sweep_baseline() {
         ..RunConfig::default()
     };
     let session = Session::new(run.experiment_config());
-    let report = run_sweep_in(&session, SweepGrid::Small, Classify::Dynamic).expect("sweep runs");
+    let report = sweep(&session, Classify::Dynamic, false, 0);
 
-    // The memoisation contract: one machine shape in the grid means one key,
-    // and the seven other grid points are served from the store — the
-    // compile/sim hit rate must be positive.
+    // The one-consultation contract: one machine shape in the grid means one
+    // key, one simulation per schedulable (shape, loop) pair, and no grid
+    // point re-consulting the store for it.
     let stats = session.stats();
+    let schedulable = (baseline.rows[0].frac_schedulable * baseline.corpus_size as f64).round();
     assert_eq!(stats.unique_keys, 1);
-    assert!(stats.hits > 0, "storage sub-grid must share compilations: {stats:?}");
-    assert!(stats.sim_hits > 0, "storage sub-grid must share sim runs: {stats:?}");
+    assert!(stats.hits > 0, "the witnesses read their compilations back: {stats:?}");
+    assert_eq!(stats.sim_runs, schedulable as u64, "one sim per schedulable pair: {stats:?}");
+    assert_eq!(stats.sim_hits, 0, "no grid point may re-consult a simulation: {stats:?}");
 
     // Row-by-row first, for a readable diff when a fraction regresses.
     assert_eq!(report.rows.len(), baseline.rows.len());
@@ -105,16 +117,16 @@ fn rerun_matches_the_sweep_baseline() {
 
 #[test]
 fn pruned_rerun_matches_its_baseline_and_the_exhaustive_verdicts() {
-    let (_, exhaustive) = load_baseline();
+    let (_, plain) = load_baseline();
     let path = pruned_baseline_path();
     let text = std::fs::read_to_string(&path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let baseline: SweepReport = serde_json::from_str(&text)
         .unwrap_or_else(|e| panic!("{} is not a valid SweepReport: {e}", path.display()));
 
-    // Verdict identity across drivers: the pruned golden differs from the
-    // exhaustive golden only by its accounting block.
-    assert_eq!(baseline.rows, exhaustive.rows, "pruning changed a verdict");
+    // Verdict identity: the pruned golden differs from the plain golden only
+    // by its accounting block.
+    assert_eq!(baseline.rows, plain.rows, "pruning changed a verdict");
     let prune = baseline.prune.as_ref().expect("the pruned golden carries its accounting");
     assert_eq!(prune.pairs, prune.configs_compiled + prune.configs_pruned);
     assert!(
@@ -137,8 +149,7 @@ fn pruned_rerun_matches_its_baseline_and_the_exhaustive_verdicts() {
         ..RunConfig::default()
     };
     let session = Session::new(run.experiment_config());
-    let report = run_pruned_sweep_in(&session, SweepGrid::Small, Classify::Dynamic, run.audit)
-        .expect("pruned sweep runs");
+    let report = sweep(&session, Classify::Dynamic, run.prune, run.audit);
     assert_eq!(report, baseline, "pruned sweep drifted from its golden");
     let rendered = serde_json::to_string_pretty(&report).expect("report serializes");
     assert_eq!(rendered.trim_end(), text.trim_end(), "serialized JSON drifted");
@@ -157,7 +168,7 @@ fn static_classification_reproduces_the_sweep_baseline() {
         ..RunConfig::default()
     };
     let session = Session::new(run.experiment_config());
-    let report = run_sweep_in(&session, SweepGrid::Small, Classify::Static).expect("sweep runs");
+    let report = sweep(&session, Classify::Static, false, 0);
     assert_eq!(session.stats().sim_runs, 0, "the static sweep must not simulate");
     assert!(session.stats().verifications > 0);
     assert_eq!(report, baseline, "static classification drifted from the golden verdicts");

@@ -15,8 +15,8 @@
 
 use std::path::PathBuf;
 
-use vliw_bench::{run_verify_in, RunConfig};
-use vliw_core::experiments::VerifyReport;
+use vliw_bench::RunConfig;
+use vliw_core::experiments::{verify_experiment, VerifyReport};
 use vliw_core::Session;
 
 fn baseline_path() -> PathBuf {
@@ -65,7 +65,7 @@ fn rerun_matches_the_verify_baseline() {
         ..RunConfig::default()
     };
     let session = Session::new(run.experiment_config());
-    let report = run_verify_in(&session).expect("verify runs");
+    let report = verify_experiment(&session).expect("verify runs");
 
     // Pure static analysis: the session must never touch the simulator.
     let stats = session.stats();

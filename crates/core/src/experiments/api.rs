@@ -11,10 +11,9 @@
 //!   grid preset for the design-space sweep);
 //! * [`ExperimentResponse`] — the matching result document, wrapping the
 //!   driver's row type;
-//! * [`Experiment`] — the trait each driver implements once, tying a typed
-//!   output to a session run;
-//! * [`run_request`] / [`ExperimentRequest::run`] — the dispatch that turns a
-//!   request into a response over a shared [`Session`].
+//! * [`ExperimentRequest::run`] — the one dispatch that turns a request into a
+//!   response over a shared [`Session`].  The in-process `figures` run and the
+//!   daemon both execute every experiment through it.
 //!
 //! Both enums serialize through the vendored serde `Value` model with an
 //! `"experiment"` tag, so a request written by the CLI client is readable by the
@@ -33,187 +32,11 @@ use crate::session::Session;
 use super::{
     cluster_resources_experiment, copy_cost_experiment, fig3_experiment, fig4_experiment,
     fig6_experiment, fig8_experiment, fig9_experiment, pruned_sweep_experiment_with,
-    simulate_experiment, sweep_experiment_with, verify_experiment, Classify, ClusterResourcesRow,
-    CopyCostRow, Fig3Row, Fig4Row, Fig6Row, IpcCurvePoint, SimulateReport, SweepReport,
-    VerifyReport,
+    simulate_experiment, verify_experiment, Classify, ClusterResourcesRow, CopyCostRow, Fig3Row,
+    Fig4Row, Fig6Row, IpcCurvePoint, SimulateReport, SweepReport, VerifyReport,
 };
 
-/// A typed experiment, tying a result document to a session run.
-///
-/// Implemented once per driver by a small request struct (e.g. [`Fig3`],
-/// [`Resources`]); [`ExperimentRequest`] is the closed serializable union of all
-/// of them, which is what dynamic callers (the CLI, the daemon) route on.
-pub trait Experiment {
-    /// The driver's result document.
-    type Output;
-
-    /// Stable name of the experiment (the CLI subcommand / wire tag).
-    fn name(&self) -> &'static str;
-
-    /// Runs the experiment over a shared session.
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError>;
-}
-
-/// Fig. 3 — number of queues required.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Fig3;
-
-/// Section 2 — II / stage-count cost of copy insertion.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CopyCost;
-
-/// Fig. 4 — II speedup from loop unrolling.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Fig4;
-
-/// Fig. 6 — II variation of the partitioned schedules.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Fig6;
-
-/// Fig. 7 / Section 4 — cluster resource sizing over the given cluster counts.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Resources {
-    /// Cluster counts to evaluate (the paper's machines are 4/5/6).
-    pub cluster_counts: Vec<usize>,
-}
-
-/// Fig. 8 — operations issued per cycle, all loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Fig8;
-
-/// Fig. 9 — operations issued per cycle, resource-constrained loops.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Fig9;
-
-/// Cycle-accurate simulation — dynamic verification plus simulated IPC.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Simulate;
-
-/// The Fig. 7 machine design-space sweep over a grid preset.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Sweep {
-    /// Design-space preset to sweep.
-    pub grid: SweepGrid,
-    /// How each loop is classified against the storage budgets.
-    pub classify: Classify,
-    /// Use the certificate-pruned driver (verdict-identical, one compiler
-    /// consultation per machine shape and loop).
-    pub prune: bool,
-    /// With `prune`, re-derive this many randomly sampled pairs through the
-    /// exhaustive classification path and report the agreement rate.
-    pub audit: usize,
-}
-
-/// Static verification — execution-free soundness proof of every schedule.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct Verify;
-
-impl Experiment for Fig3 {
-    type Output = Vec<Fig3Row>;
-    fn name(&self) -> &'static str {
-        "fig3"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        fig3_experiment(session)
-    }
-}
-
-impl Experiment for CopyCost {
-    type Output = Vec<CopyCostRow>;
-    fn name(&self) -> &'static str {
-        "copy_cost"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        copy_cost_experiment(session)
-    }
-}
-
-impl Experiment for Fig4 {
-    type Output = Vec<Fig4Row>;
-    fn name(&self) -> &'static str {
-        "fig4"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        fig4_experiment(session)
-    }
-}
-
-impl Experiment for Fig6 {
-    type Output = Vec<Fig6Row>;
-    fn name(&self) -> &'static str {
-        "fig6"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        fig6_experiment(session)
-    }
-}
-
-impl Experiment for Resources {
-    type Output = Vec<ClusterResourcesRow>;
-    fn name(&self) -> &'static str {
-        "resources"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        cluster_resources_experiment(session, &self.cluster_counts)
-    }
-}
-
-impl Experiment for Fig8 {
-    type Output = Vec<IpcCurvePoint>;
-    fn name(&self) -> &'static str {
-        "fig8"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        fig8_experiment(session)
-    }
-}
-
-impl Experiment for Fig9 {
-    type Output = Vec<IpcCurvePoint>;
-    fn name(&self) -> &'static str {
-        "fig9"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        fig9_experiment(session)
-    }
-}
-
-impl Experiment for Simulate {
-    type Output = SimulateReport;
-    fn name(&self) -> &'static str {
-        "simulate"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        simulate_experiment(session)
-    }
-}
-
-impl Experiment for Sweep {
-    type Output = SweepReport;
-    fn name(&self) -> &'static str {
-        "sweep"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        if self.prune {
-            pruned_sweep_experiment_with(session, self.grid, self.classify, self.audit)
-        } else {
-            sweep_experiment_with(session, self.grid, self.classify)
-        }
-    }
-}
-
-impl Experiment for Verify {
-    type Output = VerifyReport;
-    fn name(&self) -> &'static str {
-        "verify"
-    }
-    fn run(&self, session: &Session) -> Result<Self::Output, VliwError> {
-        verify_experiment(session)
-    }
-}
-
-/// A serializable request for one experiment run — the closed union of every
-/// [`Experiment`] impl, including its parameters.
+/// A serializable request for one experiment run, including its parameters.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ExperimentRequest {
     /// Fig. 3 — number of queues required.
@@ -241,9 +64,11 @@ pub enum ExperimentRequest {
         grid: SweepGrid,
         /// How each loop is classified against the storage budgets.
         classify: Classify,
-        /// Use the certificate-pruned driver.
+        /// Attach the certificate accounting (the report's `prune` block)
+        /// and honour `audit`; the rows are the same either way.
         prune: bool,
-        /// Pruned pairs to audit through the exhaustive path (with `prune`).
+        /// Pairs to re-derive through the per-config classification (with
+        /// `prune`; at most the grid's (config, loop) pair count).
         audit: usize,
     },
     /// Static verification report.
@@ -293,37 +118,45 @@ impl ExperimentRequest {
     }
 
     /// Runs the requested experiment over `session` and wraps its rows.
+    ///
+    /// Parameters a driver cannot serve are rejected here, before any work,
+    /// as [`VliwError::InvalidRequest`]: a zero cluster count, or an audit
+    /// sample larger than the sweep's (config, loop) pair count.
     pub fn run(&self, session: &Session) -> Result<ExperimentResponse, VliwError> {
         match self {
-            ExperimentRequest::Fig3 => Fig3.run(session).map(ExperimentResponse::Fig3),
-            ExperimentRequest::CopyCost => CopyCost.run(session).map(ExperimentResponse::CopyCost),
-            ExperimentRequest::Fig4 => Fig4.run(session).map(ExperimentResponse::Fig4),
-            ExperimentRequest::Fig6 => Fig6.run(session).map(ExperimentResponse::Fig6),
+            ExperimentRequest::Fig3 => fig3_experiment(session).map(ExperimentResponse::Fig3),
+            ExperimentRequest::CopyCost => {
+                copy_cost_experiment(session).map(ExperimentResponse::CopyCost)
+            }
+            ExperimentRequest::Fig4 => fig4_experiment(session).map(ExperimentResponse::Fig4),
+            ExperimentRequest::Fig6 => fig6_experiment(session).map(ExperimentResponse::Fig6),
             ExperimentRequest::Resources { cluster_counts } => {
-                Resources { cluster_counts: cluster_counts.clone() }
-                    .run(session)
+                if cluster_counts.contains(&0) {
+                    return Err(VliwError::InvalidRequest(
+                        "`resources` cluster counts must be at least 1".to_string(),
+                    ));
+                }
+                cluster_resources_experiment(session, cluster_counts)
                     .map(ExperimentResponse::Resources)
             }
-            ExperimentRequest::Fig8 => Fig8.run(session).map(ExperimentResponse::Fig8),
-            ExperimentRequest::Fig9 => Fig9.run(session).map(ExperimentResponse::Fig9),
-            ExperimentRequest::Simulate => Simulate.run(session).map(ExperimentResponse::Simulate),
-            ExperimentRequest::Sweep { grid, classify, prune, audit } => {
-                Sweep { grid: *grid, classify: *classify, prune: *prune, audit: *audit }
-                    .run(session)
-                    .map(ExperimentResponse::Sweep)
+            ExperimentRequest::Fig8 => fig8_experiment(session).map(ExperimentResponse::Fig8),
+            ExperimentRequest::Fig9 => fig9_experiment(session).map(ExperimentResponse::Fig9),
+            ExperimentRequest::Simulate => {
+                simulate_experiment(session).map(ExperimentResponse::Simulate)
             }
-            ExperimentRequest::Verify => Verify.run(session).map(ExperimentResponse::Verify),
+            ExperimentRequest::Sweep { grid, classify, prune, audit } => {
+                // One driver serves both spellings; without `prune` the
+                // accounting block is dropped and `audit` means nothing.
+                let audit = if *prune { *audit } else { 0 };
+                let mut report = pruned_sweep_experiment_with(session, *grid, *classify, audit)?;
+                if !prune {
+                    report.prune = None;
+                }
+                Ok(ExperimentResponse::Sweep(report))
+            }
+            ExperimentRequest::Verify => verify_experiment(session).map(ExperimentResponse::Verify),
         }
     }
-}
-
-/// Runs one request over a shared session — free-function spelling of
-/// [`ExperimentRequest::run`] for callers that prefer dispatch at arm's length.
-pub fn run_request(
-    session: &Session,
-    request: &ExperimentRequest,
-) -> Result<ExperimentResponse, VliwError> {
-    request.run(session)
 }
 
 impl ExperimentResponse {
@@ -454,9 +287,11 @@ impl Deserialize for ExperimentRequest {
     }
 }
 
-impl Serialize for ExperimentResponse {
-    fn serialize(&self) -> Value {
-        let rows = match self {
+impl ExperimentResponse {
+    /// The wrapped result document (the driver's rows or report), serialized
+    /// exactly as the driver's own type serializes it.
+    pub fn document(&self) -> Value {
+        match self {
             ExperimentResponse::Fig3(rows) => rows.serialize(),
             ExperimentResponse::CopyCost(rows) => rows.serialize(),
             ExperimentResponse::Fig4(rows) => rows.serialize(),
@@ -467,8 +302,13 @@ impl Serialize for ExperimentResponse {
             ExperimentResponse::Simulate(report) => report.serialize(),
             ExperimentResponse::Sweep(report) => report.serialize(),
             ExperimentResponse::Verify(report) => report.serialize(),
-        };
-        tagged(self.name(), vec![("rows".to_string(), rows)])
+        }
+    }
+}
+
+impl Serialize for ExperimentResponse {
+    fn serialize(&self) -> Value {
+        tagged(self.name(), vec![("rows".to_string(), self.document())])
     }
 }
 
@@ -602,6 +442,25 @@ mod tests {
         let prune = report.prune.as_ref().expect("pruned runs must carry accounting");
         assert_eq!(prune.audited, 8);
         assert!(prune.audit_clean());
+        // Without `prune` the same driver answers with the same rows and no
+        // accounting block.
+        let plain = ExperimentRequest::Sweep {
+            grid: SweepGrid::Small,
+            classify: Classify::Dynamic,
+            prune: false,
+            audit: 0,
+        };
+        let ExperimentResponse::Sweep(plain) = plain.run(&session).unwrap() else { unreachable!() };
+        assert_eq!(plain.rows, report.rows);
+        assert!(plain.prune.is_none());
+    }
+
+    #[test]
+    fn zero_cluster_counts_are_rejected_before_any_work() {
+        let session = Session::quick(4, 3);
+        let zero = ExperimentRequest::Resources { cluster_counts: vec![4, 0] };
+        assert_eq!(zero.run(&session).unwrap_err().kind(), "invalid_request");
+        assert_eq!(session.stats().compilations, 0, "a rejected request must not compile");
     }
 
     #[test]
@@ -655,9 +514,13 @@ mod tests {
 
     #[test]
     fn typed_experiments_report_their_names() {
-        assert_eq!(Fig3.name(), "fig3");
-        assert_eq!(Resources { cluster_counts: vec![4] }.name(), "resources");
-        assert_eq!(Sweep::default().name(), "sweep");
-        assert_eq!(Verify.name(), "verify");
+        // Every response carries the name of the request that produced it.
+        let session = Session::quick(2, 1);
+        for request in every_request() {
+            if matches!(request, ExperimentRequest::Sweep { grid: SweepGrid::Huge, .. }) {
+                continue;
+            }
+            assert_eq!(request.run(&session).unwrap().name(), request.name());
+        }
     }
 }

@@ -22,9 +22,13 @@
 //! | [`cluster_resources`] | Fig. 7 / Section 4 — queue demand per cluster and per ring link |
 //! | [`ipc`] | Figs. 8 and 9 — static/dynamic IPC, all loops and resource-constrained loops |
 //! | [`simulate`] | Simulated IPC — cycle-accurate execution with dynamic verification |
-//! | [`sweep`] | Fig. 7 design-space sweep — machine sizing Pareto frontier |
-//! | [`pruned`] | Certificate-pruned sweep — verdict-identical, one consultation per shape |
+//! | [`pruned`] | Fig. 7 design-space sweep — the driver: one consultation per (shape, loop) |
+//! | [`sweep`] | The sweep's report and table, plus the per-config classifiers (`--audit` oracle) |
 //! | [`verify`] | Static verification — execution-free soundness proof of every schedule |
+//!
+//! [`api`] wraps every driver in one serializable request/response pair;
+//! [`ExperimentRequest::run`] is the dispatch both the `figures` CLI and the
+//! `vliw-serve` daemon execute experiments through.
 
 pub mod api;
 pub mod copy_cost;
@@ -38,18 +42,17 @@ pub mod simulate;
 pub mod sweep;
 pub mod verify;
 
-pub use api::{run_request, Experiment, ExperimentRequest, ExperimentResponse};
+pub use api::{ExperimentRequest, ExperimentResponse};
 pub use copy_cost::{copy_cost_experiment, CopyCostRow};
 pub use fig3::{fig3_experiment, Fig3Row};
 pub use fig4::{fig4_experiment, Fig4Row};
 pub use fig6::{fig6_experiment, Fig6Row};
 pub use ipc::{fig8_experiment, fig9_experiment, IpcCurvePoint};
-pub use pruned::{pruned_sweep_experiment, pruned_sweep_experiment_with, CodeCount, PruneReport};
+pub use pruned::{pruned_sweep_experiment_with, CodeCount, PruneReport};
 pub use resources::{cluster_resources_experiment, ClusterResourcesRow};
 pub use simulate::{sim_machines, simulate_experiment, SimulateReport, SIM_TRIP_COUNTS};
 pub use sweep::{
-    classify_loop, classify_loop_static, sweep_experiment, sweep_experiment_with, Classify,
-    LoopVerdict, SweepReport, SWEEP_TRIP_COUNT,
+    classify_loop, classify_loop_static, Classify, LoopVerdict, SweepReport, SWEEP_TRIP_COUNT,
 };
 pub use verify::{verify_experiment, VerifyReport, VerifyRow};
 

@@ -1,13 +1,13 @@
-//! The certificate-pruned design-space sweep.
+//! The Fig. 7 design-space sweep driver.
 //!
-//! The exhaustive sweep ([`super::sweep`]) consults the compiler pipeline for
-//! every (grid point, loop) pair — the memo store collapses the *compiles* to
-//! one per machine shape, but each of the `configs × loops` pairs still pays a
-//! store consultation and a classification.  On the huge grid (103 680
-//! configurations, 60 shapes) that is 3.3 million consultations for what is,
-//! mathematically, 60 shapes' worth of information.
+//! Classifying a grid pair by pair ([`super::sweep::classify_loop`]) would let
+//! the memo store collapse the *compiles* to one per machine shape, but each of
+//! the `configs × loops` pairs would still pay a store consultation and a
+//! classification.  On the huge grid (103 680 configurations, 60 shapes) that
+//! is 3.3 million consultations for what is, mathematically, 60 shapes' worth
+//! of information.
 //!
-//! This driver classifies the same pairs from **certificates** instead:
+//! This driver classifies the pairs from **certificates** instead:
 //!
 //! 1. Per (shape, loop), one *witness* consultation compiles on the shape's
 //!    probe machine and extracts the exact storage thresholds of the verdict
@@ -29,13 +29,14 @@
 //!    DDG arithmetic alone — the pigeonhole needs no witness thresholds for
 //!    its two capacity bits.
 //!
-//! The resulting report is **verdict-identical** to the exhaustive driver —
-//! same rows, same fractions (the same integer count divided by the same
-//! denominator), same frontier marks — with `shapes × loops` consultations
-//! instead of `configs × loops`; the tests assert equality row for row.  The
-//! audit mode re-derives a seeded random sample of pruned verdicts through
-//! the exhaustive classification path and reports the agreement rate in the
-//! [`PruneReport`], so the certificates are *checked*, not trusted.
+//! The rows are **verdict-identical** to classifying every pair — same
+//! fractions (the same integer count divided by the same denominator), same
+//! frontier marks — with `shapes × loops` consultations instead of
+//! `configs × loops`; the tests assert equality row for row against a
+//! pair-by-pair reference.  The audit mode re-derives a seeded random sample
+//! of verdicts through the per-config classification and reports the
+//! agreement rate in the [`PruneReport`], so the certificates are *checked*,
+//! not trusted.
 
 use serde::{Deserialize, Serialize};
 use vliw_analysis::{mark_pareto, SweepRow};
@@ -74,7 +75,7 @@ pub struct PruneReport {
     /// Per-certificate-code counts; the counts sum to `pairs` (every verdict
     /// carries a certificate, anchored by the witness consultations).
     pub codes: Vec<CodeCount>,
-    /// Pruned pairs re-derived through the exhaustive classification path.
+    /// Pairs re-derived through the per-config classification.
     pub audited: usize,
     /// Audited pairs whose compiled verdict matched the certificate's.
     pub audit_agreed: usize,
@@ -136,7 +137,7 @@ fn thresholds_of(
 }
 
 /// The verdict the thresholds certify for one storage config — the closed
-/// form the exhaustive classifiers compute from the full artifacts.
+/// form the per-config classifiers compute from the full artifacts.
 fn verdict_of(thresholds: &Option<LoopThresholds>, config: &MachineConfig) -> LoopVerdict {
     match thresholds {
         None => LoopVerdict::default(),
@@ -264,17 +265,37 @@ fn splitmix64(state: &mut u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Runs the certificate-pruned design-space sweep (no audit sample).
-pub fn pruned_sweep_experiment(
-    session: &Session,
-    grid: SweepGrid,
-    classify: Classify,
-) -> Result<SweepReport, VliwError> {
-    pruned_sweep_experiment_with(session, grid, classify, 0)
+/// One sweep row: `config`'s verdict counts (schedulable, allocation-fits,
+/// simulation-clean, both) over a corpus of `loops` loops.
+fn sweep_row(config: &MachineConfig, loops: usize, counts: [usize; 4]) -> SweepRow {
+    let frac = |count: usize| if loops == 0 { 0.0 } else { count as f64 / loops as f64 };
+    let [schedulable, alloc_fits, sim_clean, clean] = counts;
+    SweepRow {
+        clusters: config.clusters,
+        fu_mix: config.fu_mix.tag().to_string(),
+        topology: config.topology.tag().to_string(),
+        fus: config.clusters * config.fu_mix.compute_fus(),
+        queues_per_cluster: config.queues_per_cluster,
+        queue_capacity: config.queue_capacity,
+        link_depth: config.link_depth,
+        storage_bits: config.storage_bits(),
+        loops,
+        frac_schedulable: frac(schedulable),
+        frac_alloc_fits: frac(alloc_fits),
+        frac_sim_clean: frac(sim_clean),
+        frac_clean: frac(clean),
+        pareto: false,
+        paper_point: config.is_paper_point(),
+    }
 }
 
-/// Runs the certificate-pruned design-space sweep, re-deriving `audit`
-/// randomly sampled pairs through the exhaustive classification path.
+/// Runs the design-space sweep over `session` for the given grid preset and
+/// classification mode, re-deriving `audit` randomly sampled (config, loop)
+/// pairs through the per-config classification.
+///
+/// An `audit` larger than the grid's pair count is rejected before any work
+/// as [`VliwError::InvalidRequest`]: the sample is drawn with replacement,
+/// so a larger one only repeats pairs, and its cost would be unbounded.
 pub fn pruned_sweep_experiment_with(
     session: &Session,
     grid: SweepGrid,
@@ -283,6 +304,14 @@ pub fn pruned_sweep_experiment_with(
 ) -> Result<SweepReport, VliwError> {
     let space = grid.space();
     let configs = space.configs();
+    let loops = session.num_loops();
+    let pairs = configs.len() * loops;
+    if audit > pairs {
+        return Err(VliwError::InvalidRequest(format!(
+            "audit of {audit} pairs exceeds the {pairs} (config, loop) pairs of grid `{}`",
+            grid.name()
+        )));
+    }
     let qs = &space.queues_per_cluster;
     let cs = &space.queue_capacities;
     let ds = &space.link_depths;
@@ -342,8 +371,6 @@ pub fn pruned_sweep_experiment_with(
                 }
             }
         })?;
-        let loops = thresholds.len();
-
         let mut counts = ShapeCounts::new(nq, nc, nd);
         for t in thresholds.iter().flatten() {
             counts.add_loop(t, qs, cs, ds);
@@ -353,30 +380,16 @@ pub fn pruned_sweep_experiment_with(
         for (k, config) in shape.iter().enumerate() {
             let (qi, ci, di) = (k / (nc * nd), (k / nd) % nc, k % nd);
             let i = counts.idx(qi, ci, di);
-            let frac = |count: usize| {
-                if loops == 0 {
-                    0.0
-                } else {
-                    count as f64 / loops as f64
-                }
-            };
-            rows.push(SweepRow {
-                clusters: config.clusters,
-                fu_mix: config.fu_mix.tag().to_string(),
-                topology: config.topology.tag().to_string(),
-                fus: config.clusters * config.fu_mix.compute_fus(),
-                queues_per_cluster: config.queues_per_cluster,
-                queue_capacity: config.queue_capacity,
-                link_depth: config.link_depth,
-                storage_bits: config.storage_bits(),
+            rows.push(sweep_row(
+                config,
                 loops,
-                frac_schedulable: frac(counts.schedulable),
-                frac_alloc_fits: frac(counts.alloc[i] as usize),
-                frac_sim_clean: frac(counts.sim[i] as usize),
-                frac_clean: frac(counts.clean[i] as usize),
-                pareto: false,
-                paper_point: config.is_paper_point(),
-            });
+                [
+                    counts.schedulable,
+                    counts.alloc[i] as usize,
+                    counts.sim[i] as usize,
+                    counts.clean[i] as usize,
+                ],
+            ));
             let slots = value_slots(config);
             b004_pairs += thresholds.iter().flatten().filter(|t| t.min_live > slots).count();
         }
@@ -384,25 +397,19 @@ pub fn pruned_sweep_experiment_with(
     }
     mark_pareto(&mut rows);
 
-    let loops = shape_thresholds.first().map_or(0, Vec::len);
-    let pairs = configs.len() * loops;
     let configs_compiled = space.num_shapes() * loops;
     let configs_pruned = pairs.saturating_sub(configs_compiled);
 
-    let mut audited = 0;
+    // `audit <= pairs` was checked up front, so a sample implies pairs > 0.
     let mut audit_agreed = 0;
-    if audit > 0 && pairs > 0 {
-        let mut state = session.config().corpus.seed ^ 0xB0B5_0A11_D17B_0001;
-        for _ in 0..audit {
-            let pick = (splitmix64(&mut state) % pairs as u64) as usize;
-            let (ci, li) = (pick / loops, pick % loops);
-            let config = &configs[ci];
-            let certified = verdict_of(&shape_thresholds[ci / per_shape][li], config);
-            let compiled = audit_pair(session, config, li, classify)?;
-            audited += 1;
-            if compiled == certified {
-                audit_agreed += 1;
-            }
+    let mut state = session.config().corpus.seed ^ 0xB0B5_0A11_D17B_0001;
+    for _ in 0..audit {
+        let pick = (splitmix64(&mut state) % pairs as u64) as usize;
+        let (ci, li) = (pick / loops, pick % loops);
+        let config = &configs[ci];
+        let certified = verdict_of(&shape_thresholds[ci / per_shape][li], config);
+        if audit_pair(session, config, li, classify)? == certified {
+            audit_agreed += 1;
         }
     }
 
@@ -422,15 +429,17 @@ pub fn pruned_sweep_experiment_with(
                 CodeCount { code: "B004-STORAGE".to_string(), count: b004_pairs },
                 CodeCount { code: "B006-MONOTONE".to_string(), count: pairs - b004_pairs },
             ],
-            audited,
+            audited: audit,
             audit_agreed,
         }),
         rows,
     })
 }
 
-/// Re-derives one (config, loop) verdict through the exhaustive path — full
-/// artifacts out of the session store, classified against the real machine.
+/// Re-derives one (config, loop) verdict through the per-config
+/// classification — full artifacts out of the session store, classified
+/// against the real machine.  The `--audit` oracle, and the reference the
+/// verdict-identity tests hold the driver to.
 fn audit_pair(
     session: &Session,
     config: &MachineConfig,
@@ -459,7 +468,43 @@ fn audit_pair(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiments::sweep::sweep_experiment_with;
+
+    /// The pair-by-pair reference: every (config, loop) verdict classified
+    /// through [`audit_pair`], no thresholds, no transfer.
+    fn exhaustive_sweep(session: &Session, grid: SweepGrid, classify: Classify) -> SweepReport {
+        let space = grid.space();
+        let mut rows = Vec::new();
+        for config in space.configs() {
+            let verdicts =
+                session.try_sweep(|i, _| audit_pair(session, &config, i, classify)).unwrap();
+            let count = |f: fn(&LoopVerdict) -> bool| verdicts.iter().filter(|v| f(v)).count();
+            rows.push(sweep_row(
+                &config,
+                verdicts.len(),
+                [
+                    count(|v| v.schedulable),
+                    count(|v| v.alloc_fits),
+                    count(|v| v.sim_clean),
+                    count(|v| v.alloc_fits && v.sim_clean),
+                ],
+            ));
+        }
+        mark_pareto(&mut rows);
+        SweepReport {
+            corpus_size: session.config().corpus.num_loops,
+            seed: session.config().corpus.seed,
+            grid: grid.name().to_string(),
+            trip_count: SWEEP_TRIP_COUNT,
+            configs: space.num_configs(),
+            shapes: space.num_shapes(),
+            prune: None,
+            rows,
+        }
+    }
+
+    fn pruned(session: &Session, grid: SweepGrid, classify: Classify) -> SweepReport {
+        pruned_sweep_experiment_with(session, grid, classify, 0).unwrap()
+    }
 
     fn strip_prune(mut report: SweepReport) -> SweepReport {
         report.prune = None;
@@ -468,27 +513,42 @@ mod tests {
 
     #[test]
     fn pruned_small_grid_is_verdict_identical_to_the_exhaustive_sweep() {
-        let session = Session::quick(10, 386);
+        let session = Session::quick(32, 386);
         for classify in [Classify::Static, Classify::Dynamic] {
-            let exhaustive = sweep_experiment_with(&session, SweepGrid::Small, classify).unwrap();
-            let pruned = pruned_sweep_experiment(&session, SweepGrid::Small, classify).unwrap();
+            let pruned = pruned(&session, SweepGrid::Small, classify);
+            let exhaustive = exhaustive_sweep(&session, SweepGrid::Small, classify);
             assert_eq!(strip_prune(pruned), exhaustive, "{}", classify.name());
         }
     }
 
     #[test]
     fn pruned_paper_grid_is_verdict_identical_to_the_exhaustive_sweep() {
-        let session = Session::quick(8, 99);
-        let exhaustive =
-            sweep_experiment_with(&session, SweepGrid::Paper, Classify::Static).unwrap();
-        let pruned = pruned_sweep_experiment(&session, SweepGrid::Paper, Classify::Static).unwrap();
+        let session = Session::quick(32, 386);
+        let pruned = pruned(&session, SweepGrid::Paper, Classify::Static);
+        let exhaustive = exhaustive_sweep(&session, SweepGrid::Paper, Classify::Static);
         assert_eq!(strip_prune(pruned), exhaustive);
+    }
+
+    #[test]
+    fn audits_larger_than_the_grid_are_rejected_before_any_work() {
+        // 8 small-grid configs over 5 loops: 40 pairs to sample from.
+        let session = Session::quick(5, 3);
+        for audit in [41, usize::MAX] {
+            let err =
+                pruned_sweep_experiment_with(&session, SweepGrid::Small, Classify::Static, audit)
+                    .unwrap_err();
+            assert_eq!(err.kind(), "invalid_request", "{err}");
+        }
+        assert_eq!(session.stats().compilations, 0, "the rejection must precede the sweep");
+        let report =
+            pruned_sweep_experiment_with(&session, SweepGrid::Small, Classify::Static, 40).unwrap();
+        assert_eq!(report.prune.unwrap().audited, 40);
     }
 
     #[test]
     fn prune_accounting_adds_up() {
         let session = Session::quick(6, 5);
-        let report = pruned_sweep_experiment(&session, SweepGrid::Paper, Classify::Static).unwrap();
+        let report = pruned(&session, SweepGrid::Paper, Classify::Static);
         let prune = report.prune.as_ref().unwrap();
         assert_eq!(prune.pairs, report.configs * 6);
         assert_eq!(prune.configs_compiled, report.shapes * 6);
@@ -525,7 +585,7 @@ mod tests {
     #[test]
     fn the_pruned_driver_consults_once_per_shape_and_loop() {
         let session = Session::quick(9, 386);
-        let _ = pruned_sweep_experiment(&session, SweepGrid::Small, Classify::Static).unwrap();
+        let _ = pruned(&session, SweepGrid::Small, Classify::Static);
         let stats = session.stats();
         // One shape: 9 witness consultations, no per-config re-classification.
         assert_eq!(stats.unique_keys, 1);

@@ -1,12 +1,11 @@
-//! The machine design-space sweep behind the paper's Fig. 7 sizing conclusion.
+//! The machine design-space sweep behind the paper's Fig. 7 sizing conclusion:
+//! its report, its text table and the per-config classification.
 //!
 //! Fig. 7 claims a *sizing*: the basic cluster with 8 private queues of 8
 //! entries and depth-8 ring links is the smallest clustered configuration that
-//! still fits nearly all loops of the workload.  This driver searches the
+//! still fits nearly all loops of the workload.  The sweep searches the
 //! neighbourhood of that claim.  For every grid point of a
-//! [`vliw_machine::MachineSpace`] it runs the full pipeline — copy insertion,
-//! partition/IMS scheduling, queue allocation, cycle-accurate simulation — and
-//! classifies each corpus loop three ways:
+//! [`vliw_machine::MachineSpace`] it classifies each corpus loop three ways:
 //!
 //! * **schedulable** — the loop compiles on the machine shape at all;
 //! * **allocation-fits** — the per-pool queue allocation (private GPQs per
@@ -16,25 +15,24 @@
 //! * **simulation-clean** — the executed kernel's observed queue occupancy
 //!   stays within every storage pool at every cycle (zero capacity faults).
 //!
-//! The sweep compiles and simulates on the shape's *probe* machine (unbounded
+//! Compilation and simulation run on the shape's *probe* machine (unbounded
 //! storage, identical FU structure), because queue budgets constrain what fits
 //! but never where the scheduler places operations and never how occupancy
-//! evolves — the simulator accumulates occupancy regardless of capacity.  Every
-//! grid point sharing a shape therefore shares one `CompilationKey`, and the
-//! whole storage sub-grid is served from the session memo store after the first
-//! point: on the small grid, 8 configurations cost 1 compile + 1 simulation per
-//! loop.
+//! evolves — the simulator accumulates occupancy regardless of capacity.  The
+//! driver ([`super::pruned`]) therefore consults the pipeline once per (shape,
+//! loop) and transfers the verdict to every storage config by threshold.
+//! [`classify_loop`] and [`classify_loop_static`] classify one (config, loop)
+//! pair from the full artifacts instead: they are the oracle the driver's
+//! `--audit` sample and its verdict-identity tests check it against.
 //!
 //! [`CommStats::fits_pools`]: vliw_partition::CommStats::fits_pools
 
 use serde::{de, Deserialize, Serialize, Value};
-use vliw_analysis::{mark_pareto, SweepRow, TextTable};
-use vliw_machine::{Machine, MachineConfig, SweepGrid};
+use vliw_analysis::{SweepRow, TextTable};
+use vliw_machine::{Machine, MachineConfig};
 
 use super::pruned::PruneReport;
-use crate::error::VliwError;
-use crate::pipeline::CompilerConfig;
-use crate::session::{LoopSummary, Session, SimSummary, VerifySummary};
+use crate::session::{LoopSummary, SimSummary, VerifySummary};
 
 /// Trip count of the sweep's simulation runs: long enough that every queue
 /// reaches its steady-state peak occupancy, short enough to keep the full grid
@@ -91,16 +89,16 @@ pub struct SweepReport {
     pub configs: usize,
     /// Number of distinct machine shapes (paid compiles) in the grid.
     pub shapes: usize,
-    /// Pruning accounting when the run used the certificate-pruned driver
-    /// ([`super::pruned`]); `None` for the exhaustive driver.
+    /// The driver's certificate accounting ([`super::pruned`]); `None` when
+    /// the run did not ask for it (`prune: false`).
     pub prune: Option<PruneReport>,
     /// One row per grid point, in grid order.
     pub rows: Vec<SweepRow>,
 }
 
 // The wire form is written by hand so `prune` is emitted only when present —
-// exhaustive reports (and every committed baseline) keep their pre-pruning
-// byte-identical JSON.
+// reports without the accounting (`baselines/sweep_small.json`) keep their
+// pre-pruning byte-identical JSON.
 
 impl Serialize for SweepReport {
     fn serialize(&self) -> Value {
@@ -224,82 +222,6 @@ pub fn classify_loop_static(
     }
 }
 
-/// Runs the design-space sweep over `session` for the given grid preset,
-/// classifying dynamically (simulation).
-pub fn sweep_experiment(session: &Session, grid: SweepGrid) -> Result<SweepReport, VliwError> {
-    sweep_experiment_with(session, grid, Classify::Dynamic)
-}
-
-/// Runs the design-space sweep over `session` for the given grid preset and
-/// classification mode.
-pub fn sweep_experiment_with(
-    session: &Session,
-    grid: SweepGrid,
-    classify: Classify,
-) -> Result<SweepReport, VliwError> {
-    let space = grid.space();
-    let mut rows = Vec::with_capacity(space.num_configs());
-    for config in space.configs() {
-        let probe = config.probe_machine(Default::default());
-        let machine = config.machine(Default::default());
-        let compiler = session.compiler(CompilerConfig::paper_defaults(probe));
-        let verdicts: Vec<LoopVerdict> = session.try_sweep(|i, _| match classify {
-            Classify::Dynamic => {
-                let Some(run) = compiler.simulate(i, SWEEP_TRIP_COUNT) else {
-                    return Ok(LoopVerdict::default());
-                };
-                compiler
-                    .map_ok(i, |c| classify_loop(c, &run, &machine, &config))
-                    .ok_or_else(|| VliwError::internal("simulated loops compiled"))
-            }
-            Classify::Static => {
-                let Some(verify) = compiler.verify(i) else {
-                    return Ok(LoopVerdict::default());
-                };
-                compiler
-                    .map_ok(i, |c| classify_loop_static(c, &verify, &machine, &config))
-                    .ok_or_else(|| VliwError::internal("verified loops compiled"))
-            }
-        })?;
-        let loops = verdicts.len();
-        let frac = |f: &dyn Fn(&LoopVerdict) -> bool| {
-            if loops == 0 {
-                0.0
-            } else {
-                verdicts.iter().filter(|v| f(v)).count() as f64 / loops as f64
-            }
-        };
-        rows.push(SweepRow {
-            clusters: config.clusters,
-            fu_mix: config.fu_mix.tag().to_string(),
-            topology: config.topology.tag().to_string(),
-            fus: config.clusters * config.fu_mix.compute_fus(),
-            queues_per_cluster: config.queues_per_cluster,
-            queue_capacity: config.queue_capacity,
-            link_depth: config.link_depth,
-            storage_bits: config.storage_bits(),
-            loops,
-            frac_schedulable: frac(&|v| v.schedulable),
-            frac_alloc_fits: frac(&|v| v.alloc_fits),
-            frac_sim_clean: frac(&|v| v.sim_clean),
-            frac_clean: frac(&|v| v.alloc_fits && v.sim_clean),
-            pareto: false,
-            paper_point: config.is_paper_point(),
-        });
-    }
-    mark_pareto(&mut rows);
-    Ok(SweepReport {
-        corpus_size: session.config().corpus.num_loops,
-        seed: session.config().corpus.seed,
-        grid: grid.name().to_string(),
-        trip_count: SWEEP_TRIP_COUNT,
-        configs: space.num_configs(),
-        shapes: space.num_shapes(),
-        prune: None,
-        rows,
-    })
-}
-
 /// Renders the sweep rows as a text table.
 pub fn render(rows: &[SweepRow]) -> TextTable {
     let mut t = TextTable::new(vec![
@@ -340,27 +262,36 @@ pub fn render(rows: &[SweepRow]) -> TextTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::pruned_sweep_experiment_with;
+    use crate::session::Session;
+    use vliw_machine::SweepGrid;
+
+    /// The small grid, classified dynamically, without an audit sample.
+    fn sweep(session: &Session) -> SweepReport {
+        pruned_sweep_experiment_with(session, SweepGrid::Small, Classify::Dynamic, 0).unwrap()
+    }
 
     #[test]
     fn small_grid_reuses_one_compile_per_shape() {
         let session = Session::quick(10, 386);
-        let report = sweep_experiment(&session, SweepGrid::Small).unwrap();
+        let report = sweep(&session);
         assert_eq!(report.rows.len(), 8);
         assert_eq!(report.shapes, 1);
         let stats = session.stats();
-        // One shape: every loop compiled and simulated exactly once, the seven
-        // other grid points were served from the memo store.
+        // One shape: every loop compiled and simulated exactly once, and the
+        // eight grid points never consulted the store per config.
+        let schedulable = (report.rows[0].frac_schedulable * 10.0).round() as u64;
         assert_eq!(stats.unique_keys, 1);
         assert!(stats.compilations <= 10);
-        assert!(stats.hits > 0, "storage sub-grid must hit the cache");
-        assert!(stats.sim_hits > 0, "storage sub-grid must reuse sim runs");
-        assert!(stats.sim_runs <= stats.compilations);
+        assert!(stats.hits > 0, "the witness reads its compilation back from the store");
+        assert_eq!(stats.sim_runs, schedulable, "one simulation per schedulable (shape, loop)");
+        assert_eq!(stats.sim_hits, 0, "no grid point may re-consult a simulation");
     }
 
     #[test]
     fn fractions_are_ordered_and_bounded() {
         let session = Session::quick(12, 7);
-        let report = sweep_experiment(&session, SweepGrid::Small).unwrap();
+        let report = sweep(&session);
         for r in &report.rows {
             assert_eq!(r.loops, 12);
             for f in [r.frac_schedulable, r.frac_alloc_fits, r.frac_sim_clean, r.frac_clean] {
@@ -378,7 +309,7 @@ mod tests {
         // within one shape, a configuration that dominates another dimension-
         // wise classifies at least as many loops clean.
         let session = Session::quick(16, 23);
-        let report = sweep_experiment(&session, SweepGrid::Small).unwrap();
+        let report = sweep(&session);
         for a in &report.rows {
             for b in &report.rows {
                 if a.clusters == b.clusters
@@ -399,7 +330,7 @@ mod tests {
     #[test]
     fn paper_point_is_flagged_and_frontier_is_nonempty() {
         let session = Session::quick(16, 386);
-        let report = sweep_experiment(&session, SweepGrid::Small).unwrap();
+        let report = sweep(&session);
         assert_eq!(report.paper_points().count(), 1);
         assert!(report.frontier().count() >= 1);
         let paper = report.paper_points().next().unwrap();
@@ -415,9 +346,10 @@ mod tests {
         // simulator out for the static verifier changes no row of the report
         // (fractions, frontier marks and paper points all included).
         let session = Session::quick(14, 386);
-        let dynamic = sweep_experiment_with(&session, SweepGrid::Small, Classify::Dynamic).unwrap();
+        let dynamic = sweep(&session);
         let sim_runs_after_dynamic = session.stats().sim_runs;
-        let static_ = sweep_experiment_with(&session, SweepGrid::Small, Classify::Static).unwrap();
+        let static_ =
+            pruned_sweep_experiment_with(&session, SweepGrid::Small, Classify::Static, 0).unwrap();
         assert_eq!(static_, dynamic, "static and dynamic classification diverged");
         assert_eq!(
             session.stats().sim_runs,
@@ -439,7 +371,8 @@ mod tests {
     #[test]
     fn report_round_trips_through_serde() {
         let session = Session::quick(6, 5);
-        let report = sweep_experiment(&session, SweepGrid::Small).unwrap();
+        let mut report = sweep(&session);
+        report.prune = None;
         let json = serde_json::to_string_pretty(&report).unwrap();
         let back: SweepReport = serde_json::from_str(&json).unwrap();
         assert_eq!(back, report);
@@ -448,7 +381,7 @@ mod tests {
     #[test]
     fn render_shape() {
         let session = Session::quick(6, 5);
-        let report = sweep_experiment(&session, SweepGrid::Small).unwrap();
+        let report = sweep(&session);
         let t = render(&report.rows);
         assert_eq!(t.num_rows(), report.rows.len());
         let text = t.render();

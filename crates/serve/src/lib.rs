@@ -1,5 +1,7 @@
 //! `vliw-serve` — a persistent compile/simulate daemon behind the Experiment
-//! API.
+//! API: every `run` frame's requests execute through
+//! [`vliw_core::experiments::ExperimentRequest::run`], the same dispatch the
+//! in-process `figures` CLI uses.
 //!
 //! The daemon owns exactly one [`Session`] (one corpus, one memo store, one
 //! optional on-disk artifact cache) and serves it to any number of concurrent
@@ -510,14 +512,10 @@ fn handle_request(
     match body {
         WireRequest::Info => (WireResponse::Info(server_info(session)), false),
         WireRequest::Run(requests) => {
-            let mut responses = Vec::with_capacity(requests.len());
-            for request in &requests {
-                match request.run(session) {
-                    Ok(response) => responses.push(response),
-                    Err(e) => return (WireResponse::Error(e), false),
-                }
+            match requests.iter().map(|request| request.run(session)).collect() {
+                Ok(responses) => (WireResponse::Run(responses), false),
+                Err(e) => (WireResponse::Error(e), false),
             }
-            (WireResponse::Run(responses), false)
         }
         WireRequest::Stats => (WireResponse::Stats(session.stats()), false),
         WireRequest::Metrics => (WireResponse::Metrics(metrics.render(session)), false),

@@ -3,9 +3,10 @@
 //!
 //! Covered here: daemon-backed reports are byte-identical to in-process runs
 //! (TCP and Unix transports), two concurrent clients coalesce onto one
-//! compilation pass, a shutdown request ends the accept loop, and a warm
-//! restart over a persistent cache serves everything from disk with zero cold
-//! compiles.
+//! compilation pass, invalid request parameters come back as typed errors on
+//! a connection that keeps serving, a shutdown request ends the accept loop,
+//! and a warm restart over a persistent cache serves everything from disk
+//! with zero cold compiles.
 
 use std::fs;
 use std::path::PathBuf;
@@ -16,7 +17,7 @@ use vliw_bench::{
     assemble_report, requests_for, run_experiments_in, validate_server, RunConfig, Selection,
     ServeClient,
 };
-use vliw_core::experiments::{fig3_experiment, Classify};
+use vliw_core::experiments::{fig3_experiment, Classify, ExperimentRequest};
 use vliw_core::{Session, SweepGrid};
 use vliw_serve::{Listen, ServeConfig, Server};
 
@@ -74,9 +75,7 @@ fn tcp_daemon_reports_are_byte_identical_to_in_process_runs() {
     assert!(!info.persistent);
 
     let run = RunConfig { corpus_size, seed, threads: Some(2), ..RunConfig::default() };
-    let responses = client
-        .run(requests_for(Selection::All, SweepGrid::default(), Classify::default(), false, 0))
-        .unwrap();
+    let responses = client.run(requests_for(Selection::All, &run)).unwrap();
     let remote = assemble_report(corpus_size, seed, responses).expect("responses assemble");
     let local = run_experiments_in(&Session::new(run.experiment_config()), Selection::All)
         .expect("in-process run succeeds");
@@ -90,9 +89,7 @@ fn tcp_daemon_reports_are_byte_identical_to_in_process_runs() {
 
     // The daemon also answers static-verification requests, clean on the
     // warm session it just compiled for the figure run.
-    let verify = client
-        .run(requests_for(Selection::Verify, SweepGrid::default(), Classify::default(), false, 0))
-        .unwrap();
+    let verify = client.run(requests_for(Selection::Verify, &run)).unwrap();
     assert_eq!(verify.len(), 1);
     match &verify[0] {
         vliw_core::experiments::ExperimentResponse::Verify(report) => {
@@ -176,6 +173,38 @@ fn concurrent_clients_coalesce_onto_one_compilation_pass() {
         stats.hits >= single.compilations,
         "the second client's requests must be cache hits: {stats:?}"
     );
+
+    client.shutdown().unwrap();
+    daemon.join().unwrap();
+}
+
+#[test]
+fn invalid_requests_are_typed_errors_on_a_connection_that_keeps_serving() {
+    let (addr, daemon) = spawn_daemon(tcp_config(4, 3));
+    let mut client = ServeClient::connect(&addr).expect("client connects");
+
+    // A zero cluster count must not reach the machine constructor's assert
+    // on the connection thread (the client would see EOF and the request
+    // would stay counted in flight); an audit sample larger than the grid
+    // must not hold the daemon.  Both are rejected before any work.
+    let zero = ExperimentRequest::Resources { cluster_counts: vec![0] };
+    let huge_audit = ExperimentRequest::Sweep {
+        grid: SweepGrid::Small,
+        classify: Classify::Static,
+        prune: true,
+        audit: usize::MAX,
+    };
+    for request in [zero, huge_audit] {
+        let err = client.run(vec![request]).expect_err("the request is rejected");
+        assert_eq!(err.kind(), "invalid_request", "{err}");
+    }
+
+    // The same connection still serves, and nothing leaked in flight: the
+    // scrape itself is the only request executing.
+    let responses = client.run(vec![ExperimentRequest::Fig3]).expect("fig3 answers");
+    assert_eq!(responses[0].name(), "fig3");
+    let text = client.metrics().expect("metrics answers");
+    assert!(text.contains("\nvliw_requests_in_flight 1\n"), "{text}");
 
     client.shutdown().unwrap();
     daemon.join().unwrap();
