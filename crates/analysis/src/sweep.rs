@@ -8,6 +8,8 @@
 //! configuration of the same machine shape is simultaneously cheaper in queue
 //! storage and at least as good at keeping the corpus capacity-clean.
 
+use std::collections::HashMap;
+
 use serde::{de, Deserialize, Serialize, Value};
 
 /// One grid point of the design-space sweep, aggregated over the corpus.
@@ -128,7 +130,41 @@ impl Deserialize for SweepRow {
 /// varies — the exact comparison Fig. 7 makes.  A row is dominated if some
 /// same-shape row has `storage_bits ≤` and `frac_clean ≥` with at least one
 /// strict.
+///
+/// Computed as the maxima of a set of 2-D vectors (Kung, Luccio & Preparata
+/// 1975) in `O(n log n)`: the rows are sorted by shape, then storage ascending,
+/// then clean fraction descending, and each shape is walked once, carrying the
+/// best clean fraction seen at strictly smaller storage.  A row is dominated
+/// iff that best reaches its fraction, or a row of equal storage (the first of
+/// its storage tier) has a strictly higher one; equal rows never dominate each
+/// other.  Fractions are finite (counts over the corpus size).
 pub fn mark_pareto(rows: &mut [SweepRow]) {
+    let mut shape_ids: HashMap<(usize, &str, &str), usize> = HashMap::new();
+    let mut keys: Vec<(usize, u64, f64, usize)> = rows
+        .iter()
+        .enumerate()
+        .map(|(i, row)| {
+            let next = shape_ids.len();
+            (*shape_ids.entry(row.shape()).or_insert(next), row.storage_bits, row.frac_clean, i)
+        })
+        .collect();
+    keys.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(b.2.total_cmp(&a.2)));
+    for shape in keys.chunk_by(|a, b| a.0 == b.0) {
+        let mut best_cheaper: Option<f64> = None;
+        for tier in shape.chunk_by(|a, b| a.1 == b.1) {
+            let top = tier[0].2;
+            for &(_, _, frac, i) in tier {
+                rows[i].pareto = !(best_cheaper.is_some_and(|best| best >= frac) || top > frac);
+            }
+            best_cheaper = Some(best_cheaper.map_or(top, |best| best.max(top)));
+        }
+    }
+}
+
+/// The quadratic definition [`mark_pareto`] is held to: every row against
+/// every other.
+#[cfg(test)]
+fn mark_pareto_quadratic(rows: &mut [SweepRow]) {
     for i in 0..rows.len() {
         let dominated = rows.iter().enumerate().any(|(j, other)| {
             j != i
@@ -144,6 +180,8 @@ pub fn mark_pareto(rows: &mut [SweepRow]) {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn row(bits: u64, clean: f64) -> SweepRow {
@@ -240,5 +278,45 @@ mod tests {
         assert!(json.contains("\"topology\":\"torus\""), "{json}");
         let back: SweepRow = serde_json::from_str(&json).unwrap();
         assert_eq!(back, r);
+    }
+
+    /// Storage values of the proptest rows: few enough that storage ties are
+    /// common.
+    const STORAGE: [u64; 4] = [64, 96, 128, 512];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn the_sweep_marks_exactly_what_the_quadratic_scan_marks(
+            shapes in proptest::collection::vec((0usize..3, 0usize..2, 0usize..3), 1..4),
+            picks in proptest::collection::vec((0usize..3, 0usize..4, 0u32..9), 0..48),
+            duplicates in proptest::collection::vec((0usize..64, 0usize..64), 0..16),
+        ) {
+            // Rows of up to three shapes, interleaved in random order, with
+            // storage from a 4-value set and clean fractions k/8 (ties on
+            // both axes), and some rows repeated verbatim.
+            let mut rows: Vec<SweepRow> = picks
+                .iter()
+                .map(|&(shape, bits, k)| {
+                    let (clusters, mix, topology) = shapes[shape % shapes.len()];
+                    let mut r = row(STORAGE[bits], f64::from(k) / 8.0);
+                    r.clusters = [2, 4, 6][clusters];
+                    r.fu_mix = ["basic", "wide"][mix].to_string();
+                    r.topology = ["ring", "torus", "xbar"][topology].to_string();
+                    r
+                })
+                .collect();
+            for &(from, at) in &duplicates {
+                if !rows.is_empty() {
+                    let copy = rows[from % rows.len()].clone();
+                    rows.insert(at % (rows.len() + 1), copy);
+                }
+            }
+            let mut expected = rows.clone();
+            mark_pareto_quadratic(&mut expected);
+            mark_pareto(&mut rows);
+            prop_assert_eq!(rows, expected);
+        }
     }
 }

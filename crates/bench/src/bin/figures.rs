@@ -53,7 +53,6 @@
 
 use std::process::ExitCode;
 
-use serde::Serialize;
 use vliw_bench::{
     assemble_report, cli, render_section, render_stats, render_stream_text, requests_for,
     run_stream, validate_server, OutputFormat, RunConfig, Selection, ServeClient,
@@ -181,18 +180,20 @@ fn run_selection(selection: Selection, run: &RunConfig) -> Result<(), String> {
     let mut backend = Backend::open(run)?;
     let responses = backend.run(requests_for(selection, run)).map_err(|e| e.to_string())?;
     let stats = backend.stats()?;
+    let _encode = vliw_core::obs::span!("report/encode");
     match run.format {
-        OutputFormat::Json => {
-            let document = match responses.as_slice() {
-                [one @ (ExperimentResponse::Simulate(_)
-                | ExperimentResponse::Sweep(_)
-                | ExperimentResponse::Verify(_))] => one.document(),
-                _ => assemble_report(run.corpus_size, run.seed, responses)
-                    .map_err(|e| e.to_string())?
-                    .serialize(),
-            };
-            emit_json(&document, &stats)?;
-        }
+        // Serialize each report from its own type: serializing a `Value`
+        // clones the whole tree, a second copy of a 40 MB sweep report.
+        OutputFormat::Json => match responses.as_slice() {
+            [ExperimentResponse::Simulate(report)] => emit_json(report, &stats)?,
+            [ExperimentResponse::Sweep(report)] => emit_json(report, &stats)?,
+            [ExperimentResponse::Verify(report)] => emit_json(report, &stats)?,
+            _ => emit_json(
+                &assemble_report(run.corpus_size, run.seed, responses)
+                    .map_err(|e| e.to_string())?,
+                &stats,
+            )?,
+        },
         OutputFormat::Text => {
             let title = match selection {
                 Selection::Simulate => "Simulation run",

@@ -262,10 +262,10 @@ pub fn collect() -> PerfReport {
 
     // sweep — statically classified grids.  `pruned_paper` pays the full
     // cold cost of the paper grid (3 shapes consulted, 192 configs recovered
-    // by threshold transfer); `huge_smoke` times the aggregation over the
-    // 103,680-config huge grid on a warm session, so the probe tracks the
-    // prefix-sum machinery rather than the 60 shape compilations the warm-up
-    // already paid for.
+    // by threshold transfer); `huge_smoke` re-runs the 103,680-config huge
+    // grid on a warm session, where the 60 shapes' witnesses are store hits,
+    // so it times the driver's own work: the bounds analysis, the per-shape
+    // aggregation and row build, and the Pareto frontier.
     probes.push(time_probe("sweep/pruned_paper", 2, 500, || {
         let session = Session::new(cfg.clone());
         pruned_sweep_experiment_with(&session, SweepGrid::Paper, Classify::Static, 0).unwrap()

@@ -287,11 +287,11 @@ impl Deserialize for ExperimentRequest {
     }
 }
 
-impl ExperimentResponse {
-    /// The wrapped result document (the driver's rows or report), serialized
-    /// exactly as the driver's own type serializes it.
-    pub fn document(&self) -> Value {
-        match self {
+impl Serialize for ExperimentResponse {
+    /// The tagged wrapper around the driver's rows or report, which serialize
+    /// exactly as the driver's own type does.
+    fn serialize(&self) -> Value {
+        let document = match self {
             ExperimentResponse::Fig3(rows) => rows.serialize(),
             ExperimentResponse::CopyCost(rows) => rows.serialize(),
             ExperimentResponse::Fig4(rows) => rows.serialize(),
@@ -302,13 +302,8 @@ impl ExperimentResponse {
             ExperimentResponse::Simulate(report) => report.serialize(),
             ExperimentResponse::Sweep(report) => report.serialize(),
             ExperimentResponse::Verify(report) => report.serialize(),
-        }
-    }
-}
-
-impl Serialize for ExperimentResponse {
-    fn serialize(&self) -> Value {
-        tagged(self.name(), vec![("rows".to_string(), self.document())])
+        };
+        tagged(self.name(), vec![("rows".to_string(), document)])
     }
 }
 

@@ -329,7 +329,7 @@ pub fn pruned_sweep_experiment_with(
         Vec::with_capacity(space.num_shapes());
     let mut b004_pairs = 0usize;
 
-    for shape in configs.chunks(per_shape) {
+    for (shape_index, shape) in configs.chunks(per_shape).enumerate() {
         let probe = shape[0].probe_machine(Default::default());
         let compiler = session.compiler(CompilerConfig::paper_defaults(probe.clone()));
         let thresholds: Vec<Option<LoopThresholds>> = session.try_sweep(|i, lp| {
@@ -371,6 +371,9 @@ pub fn pruned_sweep_experiment_with(
                 }
             }
         })?;
+        // Opened after the witness compiles: a driver span never encloses a
+        // pipeline stage.
+        let _aggregate = vliw_obs::span!("sweep/aggregate", shape_index);
         let mut counts = ShapeCounts::new(nq, nc, nd);
         for t in thresholds.iter().flatten() {
             counts.add_loop(t, qs, cs, ds);
@@ -395,7 +398,10 @@ pub fn pruned_sweep_experiment_with(
         }
         shape_thresholds.push(thresholds);
     }
-    mark_pareto(&mut rows);
+    {
+        let _pareto = vliw_obs::span!("sweep/pareto", rows.len());
+        mark_pareto(&mut rows);
+    }
 
     let configs_compiled = space.num_shapes() * loops;
     let configs_pruned = pairs.saturating_sub(configs_compiled);

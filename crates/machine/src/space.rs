@@ -32,6 +32,9 @@ pub const VALUE_BITS: u64 = 32;
 /// clipping it.
 const PROBE_STORAGE: usize = 1024;
 
+/// The compute classes every cluster of the design space carries.
+const COMPUTE_CLASSES: [OpClass; 3] = [OpClass::Memory, OpClass::Adder, OpClass::Multiplier];
+
 /// Functional-unit mix of one cluster of the design space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FuMix {
@@ -53,22 +56,27 @@ impl FuMix {
         }
     }
 
-    /// The compute units of one cluster with this mix.
-    pub fn classes(self) -> Vec<OpClass> {
-        let per_class = match self {
+    /// Units of each compute class per cluster.
+    fn units_per_class(self) -> usize {
+        match self {
             FuMix::Basic => 1,
             FuMix::Wide => 2,
-        };
-        let mut classes = Vec::with_capacity(3 * per_class);
-        for class in [OpClass::Memory, OpClass::Adder, OpClass::Multiplier] {
-            classes.extend(std::iter::repeat_n(class, per_class));
+        }
+    }
+
+    /// The compute units of one cluster with this mix.
+    pub fn classes(self) -> Vec<OpClass> {
+        let mut classes = Vec::with_capacity(self.compute_fus());
+        for class in COMPUTE_CLASSES {
+            classes.extend(std::iter::repeat_n(class, self.units_per_class()));
         }
         classes
     }
 
-    /// Number of compute FUs per cluster.
+    /// Number of compute FUs per cluster: `classes().len()`, without building
+    /// the list (the sweep asks once per grid point).
     pub fn compute_fus(self) -> usize {
-        self.classes().len()
+        COMPUTE_CLASSES.len() * self.units_per_class()
     }
 }
 
@@ -519,6 +527,9 @@ mod tests {
     fn wide_mix_doubles_the_compute_units() {
         assert_eq!(FuMix::Basic.compute_fus(), 3);
         assert_eq!(FuMix::Wide.compute_fus(), 6);
+        for mix in FuMix::ALL {
+            assert_eq!(mix.compute_fus(), mix.classes().len(), "{}", mix.tag());
+        }
         let config = MachineConfig {
             clusters: 3,
             queues_per_cluster: 8,

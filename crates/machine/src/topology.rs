@@ -75,22 +75,44 @@ impl Topology {
     /// Number of directed links of an `n`-cluster machine of this topology —
     /// the ordered adjacent pairs, each sized like one directed ring link.
     ///
-    /// Counted by enumeration: cluster counts are tiny (≤ 16 in every grid),
-    /// and one count per [`crate::MachineConfig::storage_bits`] call is free
-    /// next to materialising the machine.
+    /// In closed form, because the sweep charges for links at every one of its
+    /// grid points (twice: the storage cost axis and the `B004-STORAGE`
+    /// pigeonhole), where enumerating the `n²` cluster pairs — each torus
+    /// pair re-factorising `n` — would cost more than the rest of the row.
+    /// With `deg(m)` the out-degree of one node of an `m`-node ring (0 alone,
+    /// 1 for a pair whose two directions meet the same neighbour, 2 otherwise):
+    /// a ring has `n·deg(n)` links, a `rows × cols` torus `n·(deg(rows) +
+    /// deg(cols))` (row and column neighbours are disjoint), a crossbar
+    /// `n·(n−1)`.  The tests hold the form to the enumeration.
     pub fn directed_links(self, n: usize) -> usize {
-        if n <= 1 {
-            return 0;
-        }
-        let mut links = 0;
-        for a in 0..n {
-            for b in 0..n {
-                if a != b && self.adjacent(a, b, n) {
-                    links += 1;
-                }
+        match self {
+            Topology::Ring => n * ring_degree(n),
+            Topology::Torus => {
+                let rows = torus_rows(n);
+                n * (ring_degree(rows) + ring_degree(n / rows))
             }
+            Topology::Crossbar => n * n.saturating_sub(1),
         }
-        links
+    }
+
+    /// [`Topology::directed_links`] by definition: the ordered adjacent pairs,
+    /// enumerated.
+    #[cfg(test)]
+    fn directed_links_by_enumeration(self, n: usize) -> usize {
+        (0..n)
+            .flat_map(|a| (0..n).map(move |b| (a, b)))
+            .filter(|&(a, b)| a != b && self.adjacent(a, b, n))
+            .count()
+    }
+}
+
+/// Out-degree of one node of an `m`-node bidirectional ring: none alone, one
+/// for a pair (both directions reach the same neighbour), two otherwise.
+fn ring_degree(m: usize) -> usize {
+    match m {
+        0 | 1 => 0,
+        2 => 1,
+        _ => 2,
     }
 }
 
@@ -226,6 +248,15 @@ mod tests {
             assert!(ring <= torus, "n={n}");
             assert!(torus <= xbar, "n={n}");
             assert_eq!(xbar, n * (n - 1));
+        }
+    }
+
+    #[test]
+    fn link_counts_match_the_enumeration() {
+        for t in Topology::ALL {
+            for n in 0..=64usize {
+                assert_eq!(t.directed_links(n), t.directed_links_by_enumeration(n), "{t} n={n}");
+            }
         }
     }
 

@@ -9,8 +9,10 @@
 //! A *span* brackets one unit of pipeline work — one IMS placement, one queue
 //! allocation, one persist read — and is attributed to a fixed [`Stage`]
 //! taxonomy: `corpusgen → ddg/copies → unroll → sched/ims | sched/partition →
-//! qrf/alloc → sim → verify → bounds → persist/io`.  Recording is off by default; a
-//! [`span!`] at a disabled call site costs one relaxed atomic load and a
+//! qrf/alloc → sim → verify → bounds → persist/io`, plus the driver work
+//! around the pipeline: `sweep/aggregate → sweep/pareto → report/encode`
+//! (none of which encloses a pipeline stage).  Recording is off by default;
+//! a [`span!`] at a disabled call site costs one relaxed atomic load and a
 //! branch, which is what lets the instrumented hot paths ship enabled-by-code
 //! in release builds.
 //!
@@ -69,11 +71,18 @@ pub enum Stage {
     Bounds = 8,
     /// Persistent-store reads and writes.
     Persist = 9,
+    /// Design-space sweep aggregation: one machine shape's verdict counts,
+    /// report rows and `B004-STORAGE` tally, after its witness compiles.
+    SweepAggregate = 10,
+    /// The sweep's per-shape Pareto frontier over every row.
+    SweepPareto = 11,
+    /// Report encoding (JSON or text) and its write to stdout.
+    ReportEncode = 12,
 }
 
 impl Stage {
     /// Every stage, in pipeline order.
-    pub const ALL: [Stage; 10] = [
+    pub const ALL: [Stage; 13] = [
         Stage::Corpusgen,
         Stage::Ddg,
         Stage::Unroll,
@@ -84,6 +93,9 @@ impl Stage {
         Stage::Verify,
         Stage::Bounds,
         Stage::Persist,
+        Stage::SweepAggregate,
+        Stage::SweepPareto,
+        Stage::ReportEncode,
     ];
 
     /// The stable name used in traces, tables and the [`span!`] macro.
@@ -99,6 +111,9 @@ impl Stage {
             Stage::Verify => "verify",
             Stage::Bounds => "bounds",
             Stage::Persist => "persist/io",
+            Stage::SweepAggregate => "sweep/aggregate",
+            Stage::SweepPareto => "sweep/pareto",
+            Stage::ReportEncode => "report/encode",
         }
     }
 }
@@ -286,6 +301,15 @@ macro_rules! span {
     };
     ("persist/io" $(, $arg:expr)?) => {
         $crate::span($crate::Stage::Persist, $crate::__span_arg!($($arg)?))
+    };
+    ("sweep/aggregate" $(, $arg:expr)?) => {
+        $crate::span($crate::Stage::SweepAggregate, $crate::__span_arg!($($arg)?))
+    };
+    ("sweep/pareto" $(, $arg:expr)?) => {
+        $crate::span($crate::Stage::SweepPareto, $crate::__span_arg!($($arg)?))
+    };
+    ("report/encode" $(, $arg:expr)?) => {
+        $crate::span($crate::Stage::ReportEncode, $crate::__span_arg!($($arg)?))
     };
 }
 
@@ -804,6 +828,28 @@ mod tests {
         prom_sample_u64(&mut out, "vliw_up", "", 3);
         prom_sample_f64(&mut out, "vliw_lat", "type=\"info\"", 0.25);
         assert_eq!(out, "# HELP vliw_up Uptime.\n# TYPE vliw_up gauge\nvliw_up 3\nvliw_lat{type=\"info\"} 0.25\n");
+    }
+
+    #[test]
+    fn stage_discriminants_index_the_taxonomy() {
+        let mut names = std::collections::BTreeSet::new();
+        for (i, stage) in Stage::ALL.iter().enumerate() {
+            assert_eq!(*stage as usize, i, "{stage:?}");
+            assert!(names.insert(stage.name()), "duplicate name {}", stage.name());
+        }
+        with_tracing(|| {
+            {
+                let _a = span!("sweep/aggregate", 3);
+            }
+            {
+                let _p = span!("sweep/pareto");
+            }
+            {
+                let _e = span!("report/encode");
+            }
+            let stages: Vec<Stage> = stage_stats(&snapshot()).iter().map(|s| s.stage).collect();
+            assert_eq!(stages, [Stage::SweepAggregate, Stage::SweepPareto, Stage::ReportEncode]);
+        });
     }
 
     #[test]

@@ -4,9 +4,11 @@
 //! that [`vliw_core::obs::chrome_trace`] emits structurally valid Chrome
 //! `trace_event` JSON: every record carries the required keys, `ts` is
 //! monotone non-decreasing within each `tid`, and `B`/`E` marks pair up with
-//! proper stack discipline.  The second is a property test of the tentpole's
-//! core promise — enabling tracing never changes what an experiment reports,
-//! down to the byte.
+//! proper stack discipline.  The second holds the sweep driver's own spans
+//! (`sweep/aggregate`, `sweep/pareto`) to the same discipline, and to never
+//! enclosing a pipeline stage.  The third is a property test of the
+//! tracing layer's core promise — enabling tracing never changes what an
+//! experiment reports, down to the byte.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::{Mutex, MutexGuard};
@@ -14,10 +16,10 @@ use std::sync::{Mutex, MutexGuard};
 use proptest::prelude::*;
 use serde_json::Value;
 
-use vliw_core::experiments::ExperimentRequest;
-use vliw_core::obs;
+use vliw_core::experiments::{Classify, ExperimentRequest};
+use vliw_core::obs::{self, Stage};
 use vliw_core::pipeline::CompilerConfig;
-use vliw_core::{Machine, Session};
+use vliw_core::{Machine, Session, SweepGrid};
 
 /// The recording flag and event buffers are process-global and `cargo test`
 /// races tests across threads, so every test that flips tracing holds this.
@@ -139,6 +141,49 @@ fn chrome_trace_export_is_valid_trace_event_json() {
         assert!(stat.p50_ns <= stat.p99_ns, "{stat:?}");
         assert!(stat.p99_ns <= stat.total_ns, "{stat:?}");
     }
+}
+
+#[test]
+fn a_traced_sweep_spans_its_aggregation_and_frontier() {
+    let _gate = gate();
+    obs::clear();
+    obs::enable();
+    let session = Session::quick(6, 386);
+    let request = ExperimentRequest::Sweep {
+        grid: SweepGrid::Small,
+        classify: Classify::Static,
+        prune: true,
+        audit: 0,
+    };
+    request.run(&session).expect("the small-grid sweep runs on a quick session");
+    obs::disable();
+    let threads = obs::snapshot();
+    obs::clear();
+
+    let driver = [Stage::SweepAggregate, Stage::SweepPareto, Stage::ReportEncode];
+    for t in &threads {
+        let mut open: Vec<Stage> = Vec::new();
+        for e in &t.events {
+            if e.begin {
+                assert!(
+                    !open.iter().any(|s| driver.contains(s)),
+                    "`{}` opened inside a driver span on {}: {open:?}",
+                    e.stage.name(),
+                    t.name
+                );
+                open.push(e.stage);
+            } else {
+                assert_eq!(open.pop(), Some(e.stage), "unbalanced end mark on {}", t.name);
+            }
+        }
+        assert!(open.is_empty(), "{} left spans open: {open:?}", t.name);
+    }
+    let count = |stage: Stage| {
+        obs::stage_stats(&threads).iter().find(|s| s.stage == stage).map_or(0, |s| s.count)
+    };
+    // The small grid is one machine shape: one aggregation, one frontier.
+    assert_eq!(count(Stage::SweepAggregate), 1);
+    assert_eq!(count(Stage::SweepPareto), 1);
 }
 
 /// One figures-style JSON report over a fresh session — the byte stream the
