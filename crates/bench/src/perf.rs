@@ -248,24 +248,27 @@ pub fn collect() -> PerfReport {
             .count()
     }));
 
-    // sweep_grid — the small design-space grid, cold, dynamically classified
-    // (what `figures sweep` runs by default).
+    // sweep_grid — the small design-space grid, dynamically classified (what
+    // `figures sweep` runs by default): cold on a fresh session, then warm on
+    // one session whose witnesses and bounds a first sweep already derived,
+    // so the warm probe times the threshold transfer to the storage configs.
+    let small_grid = |session: &Session| {
+        pruned_sweep_experiment_with(session, SweepGrid::Small, Classify::Dynamic, 0).unwrap()
+    };
     probes.push(time_probe("sweep_grid/small_grid_cold", 2, 500, || {
-        pruned_sweep_experiment_with(
-            &Session::new(cfg.clone()),
-            SweepGrid::Small,
-            Classify::Dynamic,
-            0,
-        )
-        .unwrap()
+        small_grid(&Session::new(cfg.clone()))
     }));
+    let warm_grid = Session::new(cfg.clone());
+    small_grid(&warm_grid);
+    probes.push(time_probe("sweep_grid/small_grid_warm", 5, 250, || small_grid(&warm_grid)));
 
     // sweep — statically classified grids.  `pruned_paper` pays the full
     // cold cost of the paper grid (3 shapes consulted, 192 configs recovered
     // by threshold transfer); `huge_smoke` re-runs the 103,680-config huge
-    // grid on a warm session, where the 60 shapes' witnesses are store hits,
-    // so it times the driver's own work: the bounds analysis, the per-shape
-    // aggregation and row build, and the Pareto frontier.
+    // grid on a warm session, where the 60 shapes' witnesses are store hits
+    // and their bounds are reads of the session's analyzer memos, so it times
+    // the driver's own work: the per-shape aggregation and row build, and the
+    // Pareto frontier.
     probes.push(time_probe("sweep/pruned_paper", 2, 500, || {
         let session = Session::new(cfg.clone());
         pruned_sweep_experiment_with(&session, SweepGrid::Paper, Classify::Static, 0).unwrap()

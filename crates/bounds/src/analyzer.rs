@@ -21,6 +21,13 @@
 //! The per-`(loop, factor)` body summary (class counts, RecMII, flow-latency
 //! sum) is the expensive part; it is cached behind a mutex so a sweep over 60
 //! shapes builds each loop's bodies at most once per distinct unroll factor.
+//! The selected factor itself is memoized per `(loop, machine-wide class
+//! counts)` — the only machine input `select_unroll_factor` reads — so a
+//! repeated shape never recomputes the source loop's RecMII either.
+//!
+//! Both memos are keyed by corpus index, so one analyzer serves one corpus:
+//! a `vliw-core` `Session` owns one for its lifetime, and every sweep request
+//! on that session after the first reads its bounds from the memos.
 
 use std::collections::HashMap;
 use std::sync::{Mutex, MutexGuard};
@@ -190,16 +197,19 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
-/// The analyzer: owns the latency model the transformation uses and the
-/// per-`(loop, factor)` body-summary cache.
+/// The analyzer: owns the latency model the transformation uses, the
+/// per-`(loop, factor)` body-summary cache and the per-`(loop, class counts)`
+/// unroll-factor memo.
 ///
-/// One analyzer serves a whole sweep; `analyze` is `&self` and thread-safe,
-/// so the sweep executor's workers share the cache.
+/// One analyzer serves a whole corpus; `analyze` is `&self` and thread-safe,
+/// so the sweep executor's workers share the memos.  Building one allocates
+/// nothing: the maps grow on first use.
 #[derive(Debug)]
 pub struct BoundsAnalyzer {
     latencies: LatencyModel,
     max_unroll: u32,
     cache: Mutex<HashMap<(usize, u32), BodySummary>>,
+    factors: Mutex<HashMap<(usize, [usize; OpClass::COUNT]), u32>>,
 }
 
 impl BoundsAnalyzer {
@@ -210,29 +220,37 @@ impl BoundsAnalyzer {
             latencies,
             max_unroll: DEFAULT_MAX_FACTOR,
             cache: Mutex::new(HashMap::new()),
+            factors: Mutex::new(HashMap::new()),
         }
     }
 
     /// Overrides the unroll-factor cap (must match the compiler configuration
-    /// being predicted).
+    /// being predicted).  Factors selected under the old cap are forgotten.
     pub fn with_max_unroll(mut self, max_unroll: u32) -> Self {
         self.max_unroll = max_unroll;
+        self.factors.get_mut().unwrap_or_else(|poisoned| poisoned.into_inner()).clear();
         self
+    }
+
+    /// Entries in the two memos, `(body summaries, unroll factors)`: how many
+    /// bodies and factor selections the analyzer has derived so far.
+    pub fn memo_sizes(&self) -> (usize, usize) {
+        (lock(&self.cache).len(), lock(&self.factors).len())
     }
 
     /// Derives the certified bounds of `lp` on the shape of `machine`.
     ///
-    /// `loop_index` keys the cross-shape cache (callers iterate a fixed
+    /// `loop_index` keys the cross-shape memos (callers iterate a fixed
     /// corpus, so the index is stable and cheaper than hashing the name).
     /// Only the machine's *shape* is consulted — functional-unit counts and
     /// whether it is clustered — never its storage budgets, so a probe
     /// machine and every storage config of the shape yield identical bounds.
     pub fn analyze(&self, loop_index: usize, lp: &Loop, machine: &Machine) -> LoopBounds {
         let _span = vliw_obs::span!("bounds", loop_index);
-        let factor = select_unroll_factor(&lp.ddg, machine, self.max_unroll);
+        let units = machine.class_counts();
+        let factor = self.unroll_factor(loop_index, lp, machine, units);
         let summary = self.body_summary(loop_index, lp, factor);
 
-        let units = machine.class_counts();
         let mut best: Option<(OpClass, usize, usize, u32)> = None;
         for class in OpClass::ALL {
             let ops = summary.class_counts[class.index()];
@@ -300,6 +318,24 @@ impl BoundsAnalyzer {
             ii_cap,
             min_live,
         }
+    }
+
+    /// The factor [`select_unroll_factor`] picks for `lp` on `machine`,
+    /// whose machine-wide class counts are `units`: besides the loop and the
+    /// analyzer's cap, those counts are all the selection reads.
+    fn unroll_factor(
+        &self,
+        loop_index: usize,
+        lp: &Loop,
+        machine: &Machine,
+        units: [usize; OpClass::COUNT],
+    ) -> u32 {
+        if let Some(&factor) = lock(&self.factors).get(&(loop_index, units)) {
+            return factor;
+        }
+        let factor = select_unroll_factor(&lp.ddg, machine, self.max_unroll);
+        lock(&self.factors).insert((loop_index, units), factor);
+        factor
     }
 
     fn body_summary(&self, loop_index: usize, lp: &Loop, factor: u32) -> BodySummary {
@@ -466,6 +502,53 @@ mod tests {
         // most one entry per distinct factor.
         let _ = analyzer.analyze(3, &lp, &Machine::paper_clustered(16, lat()));
         assert!(lock(&analyzer.cache).len() <= 2);
+    }
+
+    #[test]
+    fn the_factor_memo_is_keyed_by_class_counts() {
+        use vliw_machine::{FuMix, Topology};
+        let analyzer = BoundsAnalyzer::new(lat());
+        let lp = kernels::daxpy(lat(), 100);
+        // Ring and crossbar machines of one cluster count share their class
+        // counts, so the second shape reuses the first one's factor.
+        let shape = |topology| MachineConfig {
+            clusters: 4,
+            fu_mix: FuMix::Basic,
+            queues_per_cluster: 2,
+            queue_capacity: 2,
+            link_depth: 2,
+            topology,
+        };
+        let ring = shape(Topology::Ring).probe_machine(lat());
+        let xbar = shape(Topology::Crossbar).probe_machine(lat());
+        let _ = analyzer.analyze(0, &lp, &ring);
+        let _ = analyzer.analyze(0, &lp, &xbar);
+        assert_eq!(analyzer.memo_sizes().1, 1);
+        let _ = analyzer.analyze(0, &lp, &Machine::single_cluster(6, 8, 32, lat()));
+        assert_eq!(analyzer.memo_sizes().1, 2);
+        // A new cap forgets the factors selected under the old one.
+        let capped = analyzer.with_max_unroll(1);
+        assert_eq!(capped.memo_sizes().1, 0);
+        assert_eq!(capped.analyze(0, &lp, &ring).unroll_factor, 1);
+    }
+
+    #[test]
+    fn a_shared_analyzer_equals_a_fresh_one_on_every_huge_shape() {
+        // Every shape twice, the second pass in reverse order, so each
+        // analysis after the first pass is answered from the memos.
+        let corpus = vliw_loopgen::generate_corpus(&vliw_loopgen::CorpusConfig::small(32, 386));
+        let space = vliw_machine::SweepGrid::Huge.space();
+        let per_shape = space.num_configs() / space.num_shapes();
+        let probes: Vec<Machine> =
+            space.configs().chunks(per_shape).map(|shape| shape[0].probe_machine(lat())).collect();
+        assert_eq!(probes.len(), space.num_shapes());
+        let shared = BoundsAnalyzer::new(lat());
+        for probe in probes.iter().chain(probes.iter().rev()) {
+            for (i, lp) in corpus.iter().enumerate() {
+                let fresh = BoundsAnalyzer::new(lat()).analyze(i, lp, probe);
+                assert_eq!(shared.analyze(i, lp, probe), fresh, "{} on {}", lp.name, probe.name());
+            }
+        }
     }
 
     #[test]

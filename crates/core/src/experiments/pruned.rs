@@ -27,7 +27,11 @@
 //!    values (`B004-STORAGE`, [`vliw_bounds::LoopBounds::min_live`] against
 //!    [`vliw_bounds::value_slots`]) are additionally counted as decided by
 //!    DDG arithmetic alone — the pigeonhole needs no witness thresholds for
-//!    its two capacity bits.
+//!    its two capacity bits.  The shape's `min_live` values are sorted once
+//!    and each config's count is one binary search: `O((loops + grid) · log
+//!    loops)` per shape, not `O(loops · grid)`.  The bounds come from the
+//!    session's one analyzer, keyed by corpus index, so only the first sweep
+//!    on a session derives them; later sweeps read its memos.
 //!
 //! The rows are **verdict-identical** to classifying every pair — same
 //! fractions (the same integer count divided by the same denominator), same
@@ -40,8 +44,7 @@
 
 use serde::{Deserialize, Serialize};
 use vliw_analysis::{mark_pareto, SweepRow};
-use vliw_bounds::{value_slots, BoundsAnalyzer};
-use vliw_ddg::LatencyModel;
+use vliw_bounds::value_slots;
 use vliw_machine::{MachineConfig, SweepGrid};
 
 use super::sweep::{
@@ -255,6 +258,13 @@ impl ShapeCounts {
     }
 }
 
+/// How many of a shape's schedulable loops `value_slots` cannot hold by
+/// pigeonhole (`B004-STORAGE`), given their `min_live` values sorted
+/// ascending.
+fn storage_pigeonholed(sorted_min_live: &[usize], value_slots: usize) -> usize {
+    sorted_min_live.len() - sorted_min_live.partition_point(|&m| m <= value_slots)
+}
+
 /// A tiny deterministic PRNG (splitmix64) for the audit sample; seeded from
 /// the corpus seed so runs are reproducible.
 fn splitmix64(state: &mut u64) -> u64 {
@@ -323,7 +333,7 @@ pub fn pruned_sweep_experiment_with(
     let (nq, nc, nd) = (qs.len(), cs.len(), ds.len());
     let per_shape = nq * nc * nd;
 
-    let analyzer = BoundsAnalyzer::new(LatencyModel::default());
+    let analyzer = session.bounds();
     let mut rows = Vec::with_capacity(configs.len());
     let mut shape_thresholds: Vec<Vec<Option<LoopThresholds>>> =
         Vec::with_capacity(space.num_shapes());
@@ -379,6 +389,8 @@ pub fn pruned_sweep_experiment_with(
             counts.add_loop(t, qs, cs, ds);
         }
         counts.resolve();
+        let mut min_live: Vec<usize> = thresholds.iter().flatten().map(|t| t.min_live).collect();
+        min_live.sort_unstable();
 
         for (k, config) in shape.iter().enumerate() {
             let (qi, ci, di) = (k / (nc * nd), (k / nd) % nc, k % nd);
@@ -393,8 +405,7 @@ pub fn pruned_sweep_experiment_with(
                     counts.clean[i] as usize,
                 ],
             ));
-            let slots = value_slots(config);
-            b004_pairs += thresholds.iter().flatten().filter(|t| t.min_live > slots).count();
+            b004_pairs += storage_pigeonholed(&min_live, value_slots(config));
         }
         shape_thresholds.push(thresholds);
     }
@@ -596,6 +607,34 @@ mod tests {
         // One shape: 9 witness consultations, no per-config re-classification.
         assert_eq!(stats.unique_keys, 1);
         assert!(stats.compilations <= 9);
+    }
+
+    #[test]
+    fn storage_pigeonholed_matches_the_direct_count() {
+        let mut state = 17;
+        for len in [0usize, 1, 2, 7, 64] {
+            let mut min_live: Vec<usize> =
+                (0..len).map(|_| (splitmix64(&mut state) % 12) as usize).collect();
+            min_live.sort_unstable();
+            for slots in 0..14 {
+                let direct = min_live.iter().filter(|&&m| m > slots).count();
+                assert_eq!(storage_pigeonholed(&min_live, slots), direct, "{min_live:?} {slots}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_warm_sweep_reads_the_sessions_bounds() {
+        let session = Session::quick(12, 386);
+        let sweep = || {
+            pruned_sweep_experiment_with(&session, SweepGrid::Small, Classify::Static, 16).unwrap()
+        };
+        assert_eq!(session.bounds().memo_sizes(), (0, 0), "building a session derives nothing");
+        let cold = sweep();
+        let memos = session.bounds().memo_sizes();
+        assert!(memos.0 > 0 && memos.1 > 0, "{memos:?}");
+        assert_eq!(sweep(), cold);
+        assert_eq!(session.bounds().memo_sizes(), memos, "the warm sweep derived bounds again");
     }
 
     #[test]

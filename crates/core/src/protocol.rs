@@ -22,7 +22,7 @@
 //! serves Unix sockets, TCP sockets and the in-process `Vec<u8>` pipes the
 //! tests use.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, IoSlice, Read, Write};
 
 use serde::{de, Deserialize, Serialize, Value};
 
@@ -44,6 +44,10 @@ pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
 /// Writes one frame: 4-byte big-endian length, then the compact JSON of
 /// `value`.
+///
+/// Header and payload go out in one vectored write, so the peer never wakes
+/// for a header whose payload is still in flight, and the payload is never
+/// copied behind the header.  Short writes resume where they stopped.
 pub fn write_frame<W: Write + ?Sized>(w: &mut W, value: &Value) -> Result<(), VliwError> {
     let text = serde_json::to_string(value).map_err(|e| VliwError::Protocol(e.to_string()))?;
     let bytes = text.as_bytes();
@@ -54,8 +58,17 @@ pub fn write_frame<W: Write + ?Sized>(w: &mut W, value: &Value) -> Result<(), Vl
                 bytes.len()
             ))
         })?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(bytes)?;
+    let header = len.to_be_bytes();
+    let mut slices = [IoSlice::new(&header), IoSlice::new(bytes)];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match w.write_vectored(pending) {
+            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        }
+    }
     w.flush()?;
     Ok(())
 }
@@ -310,6 +323,55 @@ mod tests {
             ("type".to_string(), Value::String("info".to_string())),
         ]);
         assert_eq!(frame_round_trip(value.clone()), value);
+    }
+
+    /// A writer that records each call and accepts at most `chunk` bytes
+    /// per call, across every slice of a vectored write.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        calls: usize,
+        chunk: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> std::io::Result<usize> {
+            self.calls += 1;
+            let mut room = self.chunk;
+            for buf in bufs {
+                let n = buf.len().min(room);
+                self.bytes.extend_from_slice(&buf[..n]);
+                room -= n;
+            }
+            Ok(self.chunk - room)
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_and_short_writes_resume() {
+        let value = Value::String("x".repeat(1000));
+        let mut expected = 1002u32.to_be_bytes().to_vec();
+        expected.extend_from_slice(serde_json::to_string(&value).unwrap().as_bytes());
+        let mut whole = CountingWriter { bytes: Vec::new(), calls: 0, chunk: usize::MAX };
+        for _ in 0..3 {
+            write_frame(&mut whole, &value).unwrap();
+        }
+        assert_eq!(whole.calls, 3, "one write call per frame");
+        assert_eq!(whole.bytes, expected.repeat(3));
+        // A writer that takes 3 bytes at a time splits the header itself.
+        let mut short = CountingWriter { bytes: Vec::new(), calls: 0, chunk: 3 };
+        write_frame(&mut short, &value).unwrap();
+        assert_eq!(short.bytes, expected);
+        assert_eq!(short.calls, expected.len().div_ceil(3));
+        let mut stuck = CountingWriter { bytes: Vec::new(), calls: 0, chunk: 0 };
+        assert!(write_frame(&mut stuck, &value).is_err(), "a zero-byte write must not spin");
     }
 
     #[test]

@@ -16,7 +16,10 @@
 //!   requests with **zero** cold compiles;
 //! * sweeps run on a work-stealing executor ([`executor`]) that claims loops from
 //!   an atomic counter, so one pathological loop no longer idles a whole static
-//!   chunk's worth of work.
+//!   chunk's worth of work;
+//! * one [`BoundsAnalyzer`] per session memoizes the static bounds of every
+//!   corpus loop (keyed by corpus index), so only the first design-space sweep
+//!   on a session derives them — a warm daemon's sweep requests read them.
 //!
 //! [`SessionBuilder`] is the one documented way to construct a session:
 //!
@@ -45,7 +48,8 @@ pub mod stream;
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use vliw_ddg::Loop;
+use vliw_bounds::BoundsAnalyzer;
+use vliw_ddg::{LatencyModel, Loop};
 use vliw_loopgen::generate_corpus;
 
 pub use artifact::{LoopSummary, SimSummary, VerifySummary};
@@ -70,6 +74,7 @@ pub struct Session {
     config: ExperimentConfig,
     corpus: Arc<Vec<Loop>>,
     store: MemoStore,
+    bounds: BoundsAnalyzer,
 }
 
 impl Session {
@@ -99,7 +104,12 @@ impl Session {
             let _span = vliw_obs::span!("corpusgen", config.corpus.num_loops);
             Arc::new(generate_corpus(&config.corpus))
         };
-        Session { config, corpus, store: MemoStore::new(persist) }
+        Session {
+            config,
+            corpus,
+            store: MemoStore::new(persist),
+            bounds: BoundsAnalyzer::new(LatencyModel::default()),
+        }
     }
 
     /// A session over a reduced corpus, for tests and quick runs (the session
@@ -199,6 +209,13 @@ impl Session {
     /// Cache statistics accumulated so far.
     pub fn stats(&self) -> SessionStats {
         self.store.stats()
+    }
+
+    /// The session's bounds analyzer.  It predicts the transformation of
+    /// [`CompilerConfig::paper_defaults`] at the default latencies, and its
+    /// memos are keyed by corpus index, so they outlive a request.
+    pub(crate) fn bounds(&self) -> &BoundsAnalyzer {
+        &self.bounds
     }
 }
 
