@@ -9,8 +9,8 @@
 //!   `--format json` emits the same data as a machine-readable [`FiguresReport`],
 //!   which the golden-baseline regression test diffs against
 //!   `baselines/figures_small.json`;
-//! * `cargo bench -p vliw-bench` times each experiment driver and the individual
-//!   scheduler passes.
+//! * `cargo run --release -p vliw-bench --bin perf` times the scheduler passes,
+//!   the session layer and every experiment driver ([`perf`]).
 //!
 //! All experiments run through one shared [`Session`] per invocation: the corpus
 //! is generated once, overlapping sweep points across drivers compile once, and
@@ -37,14 +37,14 @@ use vliw_core::{Machine, SweepGrid, VliwError};
 
 pub use client::{validate_server, ServeClient};
 
-/// Corpus size used by the Criterion benches and the CI bench-smoke run.
+/// Corpus size used by the `perf` probes and the CI bench-smoke run.
 ///
-/// The benches time the experiment *machinery*; a few dozen loops keep each
+/// The probes time the experiment *machinery*; a few dozen loops keep each
 /// iteration affordable while exercising every code path.  The `figures` binary uses
 /// the full 1258-loop corpus by default instead.
 pub const BENCH_CORPUS_LOOPS: usize = 32;
 
-/// Seed shared by the benches so their corpora are identical across runs.
+/// Seed shared by the probes so their corpora are identical across runs.
 pub const BENCH_SEED: u64 = 386;
 
 /// Number of loops of the paper's benchmark suite (the default `figures` corpus).
@@ -53,11 +53,10 @@ pub const PAPER_CORPUS_LOOPS: usize = 1258;
 /// Cluster counts evaluated by the cluster-resource driver (the paper's machines).
 pub const RESOURCE_CLUSTER_COUNTS: [usize; 3] = [4, 5, 6];
 
-/// The experiment configuration used by the Criterion benches.
+/// The experiment configuration used by the `perf` probes.
 pub fn bench_config() -> ExperimentConfig {
     let mut cfg = ExperimentConfig::quick(BENCH_CORPUS_LOOPS, BENCH_SEED);
-    // Criterion already parallelises across samples poorly with nested threads;
-    // keep the sweep itself modestly parallel.
+    // Keep the sweep modestly parallel so the probes read alike on every host.
     cfg.threads = cfg.threads.min(4);
     cfg
 }

@@ -1,18 +1,23 @@
 //! The self-timed probe suite behind the `BENCH_session.json` perf-trend file.
 //!
-//! The Criterion benches (`cargo bench -p vliw-bench`) are the statistically
-//! careful instrument; this module is the *trend* instrument: a fixed set of
-//! named probes, each timed with a plain warm-up + repeat loop, serialized to
-//! one small JSON document.  CI's bench-smoke job runs the `perf` binary on
-//! every push, compares the result against the committed `BENCH_session.json`
-//! and prints the per-probe delta — warn-only, no hard gate, because shared
-//! runners are noisy.  The committed file is regenerated (same binary, `--out`)
-//! whenever a PR deliberately moves the numbers, so the file's history *is*
-//! the perf trajectory of the repo.
+//! A fixed set of named probes, each timed with a plain warm-up + repeat loop
+//! and reported as one mean, serialized to one small JSON document.  CI's
+//! bench-smoke job runs the `perf` binary on every push, checks that every
+//! listed probe is present, compares the result against the committed
+//! `BENCH_session.json` and prints the per-probe delta — warn-only, no hard
+//! gate.  The delta cannot be a gate: four back-to-back runs of one build on
+//! a shared 2-vCPU container spread 1.10–1.82× per probe, and per-iteration
+//! medians spread no less (1.10–2.16×), so a median field would not help.
+//! The committed file is regenerated (same binary, `--out`) whenever a PR
+//! deliberately moves the numbers, so the file's history *is* the perf
+//! trajectory of the repo.
 //!
-//! Probe names mirror the Criterion groups they shadow
-//! (`scheduler_micro/...`, `placement/...`, `session/...`, `sweep_grid/...`),
-//! so EXPERIMENTS.md tables and the trend file speak the same language.
+//! Probes are named `group/probe`: `scheduler_micro/` (one pass over the
+//! kernel set), `placement/` (the bare schedulers over the bench corpus),
+//! `session/`, `sweep_grid/` and `sweep/` (the memo store and sweep driver),
+//! and `figures/<request>_cold` (each `figures all` request on a fresh
+//! session), so EXPERIMENTS.md tables and the trend file speak the same
+//! language.
 
 use std::time::Instant;
 
@@ -21,13 +26,13 @@ use serde::{Deserialize, Serialize};
 use vliw_core::experiments::{pruned_sweep_experiment_with, Classify};
 use vliw_core::pipeline::CompilerConfig;
 use vliw_core::qrf::{allocate_queues, insert_copies, use_lifetimes};
-use vliw_core::sched::{modulo_schedule, ImsOptions};
+use vliw_core::sched::{mii, modulo_schedule, ImsOptions};
 use vliw_core::unroll::unroll_ddg;
 use vliw_core::{
     kernels, partition_schedule, LatencyModel, Machine, PartitionOptions, Session, SweepGrid,
 };
 
-use crate::{bench_config, BENCH_CORPUS_LOOPS, BENCH_SEED};
+use crate::{bench_config, requests_for, RunConfig, Selection, BENCH_CORPUS_LOOPS, BENCH_SEED};
 
 /// Format version of the trend file; bump when probes change incompatibly.
 pub const PERF_SCHEMA: u32 = 1;
@@ -109,6 +114,9 @@ pub fn collect() -> PerfReport {
 
     // scheduler_micro — one iteration schedules the whole kernel set.
     let unrolled4: Vec<_> = kernel_set.iter().map(|lp| unroll_ddg(&lp.ddg, 4).ddg).collect();
+    probes.push(time_probe("scheduler_micro/mii_x4", 5, 250, || {
+        unrolled4.iter().map(|g| mii(g, &single12).unwrap()).sum::<u32>()
+    }));
     probes.push(time_probe("scheduler_micro/modulo_schedule_x4", 5, 250, || {
         unrolled4
             .iter()
@@ -138,14 +146,26 @@ pub fn collect() -> PerfReport {
     probes.push(time_probe("scheduler_micro/allocate_queues", 5, 250, || {
         lifetime_sets.iter().map(|(lts, ii)| allocate_queues(lts, *ii).num_queues()).sum::<usize>()
     }));
+    probes.push(time_probe("scheduler_micro/insert_copies", 5, 250, || {
+        kernel_set.iter().map(|lp| insert_copies(&lp.ddg, &lat).num_copies()).sum::<usize>()
+    }));
 
-    // placement — cold scheduling of the whole bench corpus.
+    // placement — cold scheduling of the whole bench corpus, single-cluster
+    // and partitioned.
     let corpus_bodies: Vec<_> =
         cfg.corpus().iter().map(|lp| insert_copies(&lp.ddg, &lat).ddg).collect();
     probes.push(time_probe("placement/ims_corpus_cold", 5, 250, || {
         corpus_bodies
             .iter()
             .map(|g| modulo_schedule(g, &paper6, ImsOptions::default()).unwrap().schedule.ii)
+            .sum::<u32>()
+    }));
+    probes.push(time_probe("placement/partition_corpus_cold", 5, 250, || {
+        corpus_bodies
+            .iter()
+            .map(|g| {
+                partition_schedule(g, &clustered, PartitionOptions::default()).unwrap().schedule.ii
+            })
             .sum::<u32>()
     }));
 
@@ -277,6 +297,13 @@ pub fn collect() -> PerfReport {
     probes.push(time_probe("sweep/huge_smoke", 2, 500, || {
         pruned_sweep_experiment_with(&huge_session, SweepGrid::Huge, Classify::Static, 0).unwrap()
     }));
+
+    // figures — each request of `figures all` on a fresh session, so an
+    // iteration pays every compile and simulation that request needs.
+    for request in requests_for(Selection::All, &RunConfig::default()) {
+        let name = format!("figures/{}_cold", request.name());
+        probes.push(time_probe(&name, 2, 250, || request.run(&Session::new(cfg.clone())).unwrap()));
+    }
 
     PerfReport { schema: PERF_SCHEMA, corpus_loops: BENCH_CORPUS_LOOPS, seed: BENCH_SEED, probes }
 }

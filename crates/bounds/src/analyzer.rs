@@ -1,14 +1,13 @@
 //! The static admissibility analyzer.
 //!
 //! For one (loop, machine-shape) pair, [`BoundsAnalyzer::analyze`] derives
-//! certified lower bounds **without invoking the compiler**, by reconstructing
+//! sound lower bounds **without invoking the compiler**, by reconstructing
 //! exactly the transformed body the pipeline would schedule (unroll-factor
 //! selection + unrolling + copy insertion, the `paper_defaults` configuration)
 //! and reading the bounds off its arithmetic:
 //!
-//! * **ResMII** — the per-class `ceil(ops / units)` rows against the shape's
-//!   functional-unit counts (the copy row is reported separately as the
-//!   topology-relevant copy-traffic bound);
+//! * **ResMII** — the largest per-class `ceil(ops / units)` row, copy row
+//!   included, against the shape's functional-unit counts;
 //! * **RecMII** — the recurrence bound of the transformed body, which depends
 //!   only on the loop and the unroll factor, so it is computed once and cached
 //!   across every shape that selects the same factor;
@@ -38,18 +37,6 @@ use vliw_qrf::insert_copies;
 use vliw_sched::rec_mii;
 use vliw_unroll::{select_unroll_factor, unroll_ddg, DEFAULT_MAX_FACTOR};
 
-use crate::certificate::Certificate;
-
-/// Human name of an operation class, used in `B001-RESMII` certificates.
-pub fn class_name(class: OpClass) -> &'static str {
-    match class {
-        OpClass::Memory => "memory",
-        OpClass::Adder => "adder",
-        OpClass::Multiplier => "multiplier",
-        OpClass::Copy => "copy",
-    }
-}
-
 /// Total value slots of a config: the pigeonhole capacity every live value
 /// competes for, summed over the private pools (`clusters · q · c`) and the
 /// directed link pools (`links · q · d`).
@@ -58,7 +45,7 @@ pub fn value_slots(cfg: &MachineConfig) -> usize {
         + cfg.directed_links() * cfg.queues_per_cluster * cfg.link_depth
 }
 
-/// Certified lower bounds for one (loop, shape) pair.
+/// Lower bounds for one (loop, shape) pair.
 ///
 /// All bounds are **sound**: the real compiler, scheduling the same loop on
 /// any config of the shape, achieves `II >= mii()` and keeps at least
@@ -71,24 +58,12 @@ pub struct LoopBounds {
     pub unroll_factor: u32,
     /// Operations in the transformed (unrolled + copies) body.
     pub body_ops: usize,
-    /// Copy operations the transformation inserts.
-    pub num_copies: usize,
     /// Shape-only resource bound over every class, copy row included
     /// (`u32::MAX` when a class has operations but no units on the shape).
     pub res_mii: u32,
-    /// The class that binds `res_mii`.
-    pub res_class: OpClass,
-    /// Operations of the binding class.
-    pub res_ops: usize,
-    /// Units of the binding class on the shape.
-    pub res_units: usize,
     /// Recurrence bound of the transformed body (machine-independent given
     /// the unroll factor).
     pub rec_mii: u32,
-    /// The copy row of the resource bound (1 when the body has no copies).
-    pub copy_mii: u32,
-    /// Copy units on the shape.
-    pub copy_units: usize,
     /// Sum of flow-edge latencies of the transformed body, the numerator of
     /// the min-live bound.
     pub sum_flow_latency: u64,
@@ -97,7 +72,7 @@ pub struct LoopBounds {
     /// cap of its single-cluster collapse fallback (`3·collapse_MII + 64`,
     /// which dominates the partitioned search's own `3·MII + 64`).
     pub ii_cap: u32,
-    /// Certified lower bound on simultaneously live values at any accepted II.
+    /// Lower bound on simultaneously live values at any accepted II.
     pub min_live: usize,
 }
 
@@ -116,68 +91,6 @@ impl LoopBounds {
         }
         self.sum_flow_latency.div_ceil(u64::from(ii)) as usize
     }
-
-    /// The `B001-RESMII` certificate for this shape.
-    pub fn res_certificate(&self) -> Certificate {
-        Certificate::ResMii {
-            loop_name: self.loop_name.clone(),
-            class: class_name(self.res_class).to_string(),
-            ops: self.res_ops,
-            units: self.res_units,
-            bound: self.res_mii,
-        }
-    }
-
-    /// The `B002-RECMII` certificate.
-    pub fn rec_certificate(&self) -> Certificate {
-        Certificate::RecMii {
-            loop_name: self.loop_name.clone(),
-            unroll_factor: self.unroll_factor,
-            bound: self.rec_mii,
-        }
-    }
-
-    /// The `B005-COPYBUS` certificate (only meaningful when the body has
-    /// copies; the bound is trivially 1 otherwise).
-    pub fn copy_certificate(&self) -> Certificate {
-        Certificate::CopyBus {
-            loop_name: self.loop_name.clone(),
-            copies: self.num_copies,
-            copy_units: self.copy_units,
-            bound: self.copy_mii,
-        }
-    }
-
-    /// `B003-IILIMIT` when an explicit II search limit is below the certified
-    /// MII: the II search is provably skipped without the compile being
-    /// attempted.  On a single-cluster machine this predicts the scheduler's
-    /// refusal exactly; on a clustered machine the partitioner's collapse
-    /// fallback (which sets its own cap) may still produce a schedule, so the
-    /// certificate proves only that the *partitioned* search never ran.
-    pub fn ii_limit_certificate(&self, max_ii: Option<u32>) -> Option<Certificate> {
-        let limit = max_ii?;
-        if self.mii() > limit {
-            Some(Certificate::IiLimit { loop_name: self.loop_name.clone(), mii: self.mii(), limit })
-        } else {
-            None
-        }
-    }
-
-    /// `B004-STORAGE` when the config's total value slots cannot hold the
-    /// certified minimum of live values — allocation cannot fit and the
-    /// simulator must observe an overflow, by pigeonhole.
-    pub fn storage_certificate(&self, value_slots: usize) -> Option<Certificate> {
-        if self.min_live > value_slots {
-            Some(Certificate::Storage {
-                loop_name: self.loop_name.clone(),
-                min_live: self.min_live,
-                value_slots,
-                ii_cap: self.ii_cap,
-            })
-        } else {
-            None
-        }
-    }
 }
 
 /// Everything about a transformed body that the bounds need and that depends
@@ -186,9 +99,23 @@ impl LoopBounds {
 struct BodySummary {
     class_counts: [usize; OpClass::COUNT],
     body_ops: usize,
-    num_copies: usize,
     rec_mii: u32,
     sum_flow_latency: u64,
+}
+
+impl BodySummary {
+    /// The largest resource row `ceil(ops / units)` over the classes with
+    /// operations (`u32::MAX` for a class without units), and `floor`.
+    fn max_class_row(&self, floor: u32, units: impl Fn(OpClass) -> usize) -> u32 {
+        OpClass::ALL
+            .into_iter()
+            .filter(|class| self.class_counts[class.index()] > 0)
+            .map(|class| match units(class) {
+                0 => u32::MAX,
+                u => self.class_counts[class.index()].div_ceil(u).min(u32::MAX as usize) as u32,
+            })
+            .fold(floor, u32::max)
+    }
 }
 
 /// A poisoned cache only ever holds valid summaries, so analysis continues
@@ -251,32 +178,7 @@ impl BoundsAnalyzer {
         let factor = self.unroll_factor(loop_index, lp, machine, units);
         let summary = self.body_summary(loop_index, lp, factor);
 
-        let mut best: Option<(OpClass, usize, usize, u32)> = None;
-        for class in OpClass::ALL {
-            let ops = summary.class_counts[class.index()];
-            if ops == 0 {
-                continue;
-            }
-            let u = units[class.index()];
-            let row = if u == 0 { u32::MAX } else { ops.div_ceil(u).min(u32::MAX as usize) as u32 };
-            if best.is_none_or(|(_, _, _, b)| row > b) {
-                best = Some((class, ops, u, row));
-            }
-        }
-        let (res_class, res_ops, res_units, res_row) =
-            best.unwrap_or((OpClass::Memory, 0, units[OpClass::Memory.index()], 1));
-        let res_mii = res_row.max(1);
-
-        let copy_units = units[OpClass::Copy.index()];
-        let copies = summary.class_counts[OpClass::Copy.index()];
-        let copy_mii = if copies == 0 {
-            1
-        } else if copy_units == 0 {
-            u32::MAX
-        } else {
-            copies.div_ceil(copy_units).min(u32::MAX as usize) as u32
-        };
-
+        let res_mii = summary.max_class_row(1, |class| units[class.index()]);
         let mii = res_mii.max(summary.rec_mii).max(1);
         // The largest II the scheduler's default search accepts, which anchors
         // the min-live bound.  The partitioner's last-resort collapse fallback
@@ -285,17 +187,9 @@ impl BoundsAnalyzer {
         // machine-wide one (one cluster has fewer units), so the collapse cap
         // is the binding limit on clustered shapes.
         let ii_cap = if machine.is_clustered() {
-            let mut collapse_lower = summary.rec_mii.max(1);
-            for class in OpClass::ALL {
-                let ops = summary.class_counts[class.index()];
-                if ops == 0 {
-                    continue;
-                }
-                let u = machine.fus_of_class_in_cluster(ClusterId(0), class).count();
-                let row =
-                    if u == 0 { u32::MAX } else { ops.div_ceil(u).min(u32::MAX as usize) as u32 };
-                collapse_lower = collapse_lower.max(row);
-            }
+            let collapse_lower = summary.max_class_row(summary.rec_mii.max(1), |class| {
+                machine.fus_of_class_in_cluster(ClusterId(0), class).count()
+            });
             collapse_lower.max(mii).saturating_mul(3).saturating_add(64)
         } else {
             mii.saturating_mul(2).saturating_add(64)
@@ -306,14 +200,8 @@ impl BoundsAnalyzer {
             loop_name: lp.name.clone(),
             unroll_factor: factor,
             body_ops: summary.body_ops,
-            num_copies: summary.num_copies,
             res_mii,
-            res_class,
-            res_ops,
-            res_units,
             rec_mii: summary.rec_mii,
-            copy_mii,
-            copy_units,
             sum_flow_latency: summary.sum_flow_latency,
             ii_cap,
             min_live,
@@ -349,7 +237,6 @@ impl BoundsAnalyzer {
         let summary = BodySummary {
             class_counts: ins.ddg.class_counts(),
             body_ops: ins.ddg.num_ops(),
-            num_copies: ins.num_copies(),
             rec_mii: rec_mii(&ins.ddg),
             sum_flow_latency,
         };
@@ -440,17 +327,12 @@ mod tests {
         let lp = kernels::dot_product(lat(), 100);
         let bounds = analyzer.analyze(0, &lp, &machine);
         assert!(bounds.mii() > 1, "dot product has a recurrence");
-        let limit = bounds.mii() - 1;
-        let cert = bounds.ii_limit_certificate(Some(limit)).expect("limit below MII must certify");
-        assert_eq!(cert.code(), "B003-IILIMIT");
         let body = transformed(&lp, &machine);
-        let opts = ImsOptions { max_ii: Some(limit), ..ImsOptions::default() };
+        let opts = ImsOptions { max_ii: Some(bounds.mii() - 1), ..ImsOptions::default() };
         assert!(
             modulo_schedule(&body, &machine, opts).is_err(),
-            "the scheduler must refuse exactly where the certificate says"
+            "the scheduler must refuse every II below the MII"
         );
-        assert!(bounds.ii_limit_certificate(Some(bounds.mii())).is_none());
-        assert!(bounds.ii_limit_certificate(None).is_none());
     }
 
     #[test]
@@ -476,18 +358,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn storage_certificate_fires_by_pigeonhole() {
-        let analyzer = BoundsAnalyzer::new(lat());
-        let machine = Machine::paper_clustered(2, lat());
-        let lp = kernels::wide_parallel(lat(), 100);
-        let bounds = analyzer.analyze(0, &lp, &machine);
-        assert!(bounds.min_live >= 1);
-        let cert = bounds.storage_certificate(bounds.min_live - 1).expect("too-small pool");
-        assert_eq!(cert.code(), "B004-STORAGE");
-        assert!(bounds.storage_certificate(bounds.min_live).is_none());
     }
 
     #[test]
@@ -549,21 +419,6 @@ mod tests {
                 assert_eq!(shared.analyze(i, lp, probe), fresh, "{} on {}", lp.name, probe.name());
             }
         }
-    }
-
-    #[test]
-    fn certificates_carry_the_analyzers_numbers() {
-        let analyzer = BoundsAnalyzer::new(lat());
-        let machine = Machine::paper_clustered(4, lat());
-        let lp = kernels::daxpy(lat(), 100);
-        let bounds = analyzer.analyze(0, &lp, &machine);
-        let res = bounds.res_certificate();
-        assert_eq!(res.code(), "B001-RESMII");
-        assert!(res.to_string().contains(&lp.name));
-        assert_eq!(bounds.rec_certificate().code(), "B002-RECMII");
-        let copy = bounds.copy_certificate();
-        assert_eq!(copy.code(), "B005-COPYBUS");
-        assert!(bounds.copy_mii <= bounds.res_mii, "the copy row is one of the res rows");
     }
 
     #[test]

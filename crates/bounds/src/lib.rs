@@ -1,29 +1,22 @@
-//! `vliw-bounds`: certified static admissibility analysis for the design-space
-//! sweep.
+//! `vliw-bounds`: static lower bounds for the design-space sweep.
 //!
 //! The sweep asks, for every (config, loop) pair, three questions the compiler
 //! answers by scheduling, allocating and simulating: *schedulable?  does the
-//! allocation fit?  is the simulation clean?*  This crate answers a cheaper
-//! question first — **can the answer be proved from DDG arithmetic alone?** —
-//! and hands the sweep a machine-checkable [`Certificate`] whenever it can:
+//! allocation fit?  is the simulation clean?*  This crate bounds the answer
+//! from DDG arithmetic alone, without compiling:
 //!
-//! * [`B001-RESMII`](Certificate::ResMii) / [`B002-RECMII`](Certificate::RecMii)
-//!   — the classic lower bounds of modulo scheduling, generalized to
-//!   shape-only inputs so one analysis covers every storage config of a shape;
-//! * [`B003-IILIMIT`](Certificate::IiLimit) — an explicit II search limit
-//!   below the certified MII proves the scheduler would refuse;
-//! * [`B004-STORAGE`](Certificate::Storage) — a lifetime pigeonhole: the body
-//!   keeps more values live than the config's private + link pools can store;
-//! * [`B005-COPYBUS`](Certificate::CopyBus) — the copy-traffic row of the
-//!   resource bound, the topology-relevant cost of clustering;
-//! * [`B006-MONOTONE`](Certificate::Monotone) — threshold transfer from one
-//!   witness compilation per shape, exploiting the proven storage
-//!   monotonicity of the sweep's verdict bits.
+//! * [`LoopBounds::mii`] — the resource and recurrence lower bounds of modulo
+//!   scheduling, generalized to shape-only inputs so one analysis covers
+//!   every storage config of a shape;
+//! * [`LoopBounds::min_live`] — a lifetime pigeonhole: a config whose private
+//!   and link pools hold fewer than this many values ([`value_slots`]) can
+//!   neither fit the allocation nor simulate cleanly.  The pruned sweep
+//!   counts those pairs under its `B004-STORAGE` code.
 //!
-//! The analyzer is *trusted because it is tested*, not assumed: the pruned
-//! sweep's `--audit` mode compiles a seeded sample of pruned points and
-//! asserts verdict agreement, and `tests/bounds_soundness.rs` differentially
-//! tests every bound against both schedulers on random loops.
+//! The analyzer is *trusted because it is tested*, not assumed: its unit
+//! tests pin the MII arithmetic to the partitioner's, and
+//! `tests/bounds_soundness.rs` differentially tests every bound against both
+//! schedulers on random loops.
 //!
 //! ```
 //! use vliw_bounds::BoundsAnalyzer;
@@ -34,12 +27,12 @@
 //! let machine = Machine::paper_clustered(4, lat);
 //! let lp = kernels::daxpy(lat, 100);
 //! let bounds = BoundsAnalyzer::new(lat).analyze(0, &lp, &machine);
-//! assert!(bounds.mii() >= 1);
-//! assert_eq!(bounds.res_certificate().code(), "B001-RESMII");
+//! assert!(bounds.mii() >= 1 && bounds.mii() <= bounds.ii_cap);
+//! // Fewer values stay live at a larger II; `min_live` is the floor at the cap.
+//! assert!(bounds.min_live_at(bounds.mii()) >= bounds.min_live);
+//! assert_eq!(bounds.min_live_at(bounds.ii_cap), bounds.min_live);
 //! ```
 
 pub mod analyzer;
-pub mod certificate;
 
-pub use analyzer::{class_name, value_slots, BoundsAnalyzer, LoopBounds};
-pub use certificate::Certificate;
+pub use analyzer::{value_slots, BoundsAnalyzer, LoopBounds};

@@ -3,7 +3,7 @@
 //! Each submodule corresponds to one figure (or to the statistics quoted in the
 //! running text) and produces both a structured result type and a rendered
 //! [`vliw_analysis::TextTable`].  The `figures` binary of the `vliw-bench` crate and
-//! the Criterion benches call these drivers; EXPERIMENTS.md records their output next
+//! its `perf` probes call these drivers; EXPERIMENTS.md records their output next
 //! to the paper's numbers.
 //!
 //! Every driver takes a shared [`crate::session::Session`] rather than a bare

@@ -7,7 +7,7 @@
 //! is 3.3 million consultations for what is, mathematically, 60 shapes' worth
 //! of information.
 //!
-//! This driver classifies the pairs from **certificates** instead:
+//! This driver classifies the pairs from per-shape **thresholds** instead:
 //!
 //! 1. Per (shape, loop), one *witness* consultation compiles on the shape's
 //!    probe machine and extracts the exact storage thresholds of the verdict
@@ -16,8 +16,9 @@
 //!    [`vliw_partition::CommStats::fits_pools`] predicate, decomposed per
 //!    axis), and the execution is capacity-clean iff the schedule is
 //!    fault-free and `q·c` / `q·d` cover the proved occupancy peaks.  The
-//!    transfer of these thresholds across the shape's storage sub-grid is the
-//!    `B006-MONOTONE` certificate of `vliw-bounds`.
+//!    transfer of these thresholds across the shape's storage sub-grid is
+//!    what the driver's `B006-MONOTONE` code counts; `vliw-bounds` has no
+//!    part in it.
 //! 2. Each proven-monotone storage axis is **binary-searched** for its
 //!    threshold index ([`[T]::partition_point`]) instead of enumerated, and
 //!    the per-config verdict counts come from three-dimensional difference
@@ -38,9 +39,10 @@
 //! frontier marks — with `shapes × loops` consultations instead of
 //! `configs × loops`; the tests assert equality row for row against a
 //! pair-by-pair reference.  The audit mode re-derives a seeded random sample
-//! of verdicts through the per-config classification and reports the
-//! agreement rate in the [`PruneReport`], so the certificates are *checked*,
-//! not trusted.
+//! of verdicts through the per-config classification, reusing the shape's
+//! compiler handle but checking against the real machine, and reports the
+//! agreement rate in the [`PruneReport`], so the transfer is *checked*, not
+//! trusted.
 
 use serde::{Deserialize, Serialize};
 use vliw_analysis::{mark_pareto, SweepRow};
@@ -52,7 +54,7 @@ use super::sweep::{
 };
 use crate::error::VliwError;
 use crate::pipeline::CompilerConfig;
-use crate::session::{LoopSummary, Session};
+use crate::session::{LoopSummary, Session, SessionCompiler};
 
 /// How many (config, loop) pairs one certificate code decided.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -337,6 +339,7 @@ pub fn pruned_sweep_experiment_with(
     let mut rows = Vec::with_capacity(configs.len());
     let mut shape_thresholds: Vec<Vec<Option<LoopThresholds>>> =
         Vec::with_capacity(space.num_shapes());
+    let mut shape_compilers = Vec::with_capacity(space.num_shapes());
     let mut b004_pairs = 0usize;
 
     for (shape_index, shape) in configs.chunks(per_shape).enumerate() {
@@ -408,6 +411,7 @@ pub fn pruned_sweep_experiment_with(
             b004_pairs += storage_pigeonholed(&min_live, value_slots(config));
         }
         shape_thresholds.push(thresholds);
+        shape_compilers.push(compiler);
     }
     {
         let _pareto = vliw_obs::span!("sweep/pareto", rows.len());
@@ -423,9 +427,9 @@ pub fn pruned_sweep_experiment_with(
     for _ in 0..audit {
         let pick = (splitmix64(&mut state) % pairs as u64) as usize;
         let (ci, li) = (pick / loops, pick % loops);
-        let config = &configs[ci];
-        let certified = verdict_of(&shape_thresholds[ci / per_shape][li], config);
-        if audit_pair(session, config, li, classify)? == certified {
+        let (config, shape) = (&configs[ci], ci / per_shape);
+        let certified = verdict_of(&shape_thresholds[shape][li], config);
+        if audit_pair(&shape_compilers[shape], config, li, classify)? == certified {
             audit_agreed += 1;
         }
     }
@@ -454,18 +458,17 @@ pub fn pruned_sweep_experiment_with(
 }
 
 /// Re-derives one (config, loop) verdict through the per-config
-/// classification — full artifacts out of the session store, classified
-/// against the real machine.  The `--audit` oracle, and the reference the
-/// verdict-identity tests hold the driver to.
+/// classification — full artifacts out of `compiler`, the handle of the
+/// config's probe machine, classified against the real machine.  The
+/// `--audit` oracle, and the reference the verdict-identity tests hold the
+/// driver to.
 fn audit_pair(
-    session: &Session,
+    compiler: &SessionCompiler<'_>,
     config: &MachineConfig,
     loop_index: usize,
     classify: Classify,
 ) -> Result<LoopVerdict, VliwError> {
-    let probe = config.probe_machine(Default::default());
     let machine = config.machine(Default::default());
-    let compiler = session.compiler(CompilerConfig::paper_defaults(probe));
     match classify {
         Classify::Static => match compiler.verify(loop_index) {
             None => Ok(LoopVerdict::default()),
@@ -492,8 +495,10 @@ mod tests {
         let space = grid.space();
         let mut rows = Vec::new();
         for config in space.configs() {
+            let probe = config.probe_machine(Default::default());
+            let compiler = session.compiler(CompilerConfig::paper_defaults(probe));
             let verdicts =
-                session.try_sweep(|i, _| audit_pair(session, &config, i, classify)).unwrap();
+                session.try_sweep(|i, _| audit_pair(&compiler, &config, i, classify)).unwrap();
             let count = |f: fn(&LoopVerdict) -> bool| verdicts.iter().filter(|v| f(v)).count();
             rows.push(sweep_row(
                 &config,

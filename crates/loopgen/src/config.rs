@@ -67,7 +67,7 @@ impl CorpusConfig {
         CorpusConfig::default()
     }
 
-    /// A reduced corpus for fast unit tests and Criterion benches.
+    /// A reduced corpus for fast unit tests and the `perf` probes.
     pub fn small(num_loops: usize, seed: u64) -> Self {
         CorpusConfig { num_loops, seed, ..CorpusConfig::default() }
     }

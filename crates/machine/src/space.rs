@@ -274,9 +274,9 @@ impl MachineSpace {
     /// The huge grid behind the bound-pruned sweep: 10 cluster counts up to 16,
     /// both FU mixes, all three topologies, and twelve values per storage
     /// dimension — 103 680 configurations over 60 machine shapes.  Enumerating
-    /// it is cheap; *classifying* it is what `vliw-bounds` makes affordable
-    /// (one witness compile per shape and loop, every other grid point served
-    /// by a certificate).
+    /// it is cheap; *classifying* it is what the pruned sweep driver makes
+    /// affordable (one witness compile per shape and loop, every other grid
+    /// point recovered by threshold transfer).
     pub fn huge() -> Self {
         let storage_axis = vec![1, 2, 3, 4, 6, 8, 10, 12, 16, 20, 24, 32];
         MachineSpace {

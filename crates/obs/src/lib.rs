@@ -66,8 +66,8 @@ pub enum Stage {
     Sim = 6,
     /// Static schedule verification.
     Verify = 7,
-    /// Static admissibility analysis (`vliw-bounds`): certified lower bounds
-    /// that prune the design-space sweep without compiling.
+    /// Static admissibility analysis (`vliw-bounds`): lower bounds the
+    /// design-space sweep reads without compiling.
     Bounds = 8,
     /// Persistent-store reads and writes.
     Persist = 9,

@@ -9,11 +9,12 @@
 //! * `.unwrap()` / `.expect(` are denied in the *non-test* code of the
 //!   verification-critical hot paths (`crates/verify`, `crates/sim`,
 //!   `crates/qrf`, `crates/bounds`) — a verifier that can panic mid-verdict is
-//!   not a verifier, and the same holds for a bounds certifier.
+//!   not a verifier, and the same holds for the bounds the sweep prunes with.
 //! * every `#[allow(clippy::...)]` must carry a justification comment on the
 //!   same or the preceding line, so suppressions stay deliberate.
-//! * doc-sync: every stable code the verifier (`V001-…`) and the bounds
-//!   analyzer (`B001-…`) define must have a row in README.md's code tables.
+//! * doc-sync, both ways: every stable code the verifier (`V001-…`) and the
+//!   pruned sweep driver (`B004-…`) define must have a row in README.md's code
+//!   tables, and every code a table row names must be defined by one of them.
 //!
 //! The rules are textual by design (no syn, no rustc internals): they run on
 //! the exact bytes committed, cannot drift with compiler versions, and their
@@ -29,11 +30,12 @@ const UNSAFE_ALLOWLIST: &[&str] = &["crates/core/src/session/executor.rs"];
 /// Crates whose non-test code must be panic-free.
 const NO_PANIC_CRATES: &[&str] = &["crates/verify", "crates/sim", "crates/qrf", "crates/bounds"];
 
-/// Sources that define stable lint/certificate codes, and the code prefix each
+/// Sources that define stable lint/pruning codes, and the code prefix each
 /// contributes.  Every code found here must have a row in README.md's code
-/// tables (doc-sync: shipping a code without documenting it is a lint error).
+/// tables, and every code a row names must be found here (doc-sync: shipping
+/// an undocumented code, or documenting a code nothing emits, is a lint error).
 const CODE_SOURCES: &[(&str, char)] =
-    &[("crates/verify/src/violation.rs", 'V'), ("crates/bounds/src/certificate.rs", 'B')];
+    &[("crates/verify/src/violation.rs", 'V'), ("crates/core/src/experiments/pruned.rs", 'B')];
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -122,8 +124,9 @@ fn check_file(rel: &str, text: &str, findings: &mut Vec<String>) {
 }
 
 /// Doc-sync: every stable code a [`CODE_SOURCES`] file defines (`V001-…`,
-/// `B001-…`) must appear in a README.md table row (a line starting with `|`),
-/// so the user-facing code tables can never fall behind the source.
+/// `B004-…`) must appear in a README.md table row (a line starting with `|`),
+/// and every backticked code of such a prefix in a row must be defined, so
+/// the user-facing code tables neither fall behind the source nor outlive it.
 fn check_code_docs(root: &Path, findings: &mut Vec<String>) {
     let readme = match fs::read_to_string(root.join("README.md")) {
         Ok(text) => text,
@@ -132,8 +135,9 @@ fn check_code_docs(root: &Path, findings: &mut Vec<String>) {
             return;
         }
     };
-    let documented: Vec<&str> =
-        readme.lines().filter(|l| l.trim_start().starts_with('|')).collect();
+    let documented: Vec<(usize, &str)> =
+        readme.lines().enumerate().filter(|(_, l)| l.trim_start().starts_with('|')).collect();
+    let mut defined = Vec::new();
     for (rel, prefix) in CODE_SOURCES {
         let path = root.join(rel);
         let Ok(text) = fs::read_to_string(&path) else {
@@ -147,10 +151,23 @@ fn check_code_docs(root: &Path, findings: &mut Vec<String>) {
             findings.push(format!("{rel}: defines no `{prefix}NNN-` codes; doc-sync list stale?"));
         }
         for code in codes {
-            if !documented.iter().any(|row| row.contains(&code)) {
+            if !documented.iter().any(|(_, row)| row.contains(&code)) {
                 findings.push(format!(
                     "README.md: code `{code}` ({rel}) has no row in a README code table"
                 ));
+            }
+            defined.push(code);
+        }
+    }
+    for (idx, row) in &documented {
+        for (_, prefix) in CODE_SOURCES {
+            for code in scan_codes(row, *prefix, b'`') {
+                if !defined.contains(&code) {
+                    findings.push(format!(
+                        "README.md:{}: code `{code}` has a table row but no source defines it",
+                        idx + 1
+                    ));
+                }
             }
         }
     }
@@ -160,13 +177,17 @@ fn check_code_docs(root: &Path, findings: &mut Vec<String>) {
 /// (e.g. `V001-DEP-DISTANCE`).  Test modules may fabricate codes (`V099-…`)
 /// to exercise error paths; those are not shipped and need no documentation.
 fn extract_codes(text: &str, prefix: char) -> Vec<String> {
-    let text = text.split("#[cfg(test)]").next().unwrap_or(text);
+    scan_codes(text.split("#[cfg(test)]").next().unwrap_or(text), prefix, b'"')
+}
+
+/// All `{prefix}NNN-SUFFIX` codes in `text` directly preceded by `open` (a
+/// string literal's quote in source, a backtick in README prose).
+fn scan_codes(text: &str, prefix: char, open: u8) -> Vec<String> {
     let mut codes = Vec::new();
     let bytes = text.as_bytes();
     for (pos, _) in text.match_indices(prefix) {
-        // Match: prefix, three digits, a dash, then [A-Z-]+ — inside a string
-        // literal, so a quote directly precedes the prefix.
-        if pos == 0 || bytes[pos - 1] != b'"' {
+        // Match: `open`, prefix, three digits, a dash, then [A-Z-]+.
+        if pos == 0 || bytes[pos - 1] != open {
             continue;
         }
         let rest = &text[pos + 1..];
@@ -312,37 +333,60 @@ mod tests {
         assert_eq!(extract_codes(text, 'B'), vec!["B004-STORAGE"]);
     }
 
-    #[test]
-    fn undocumented_codes_are_flagged() {
-        let dir = std::env::temp_dir().join(format!("xtask_docsync_{}", std::process::id()));
+    /// A temporary repo whose doc-sync sources define `V001-DEP-DISTANCE` and
+    /// `B004-STORAGE`, with `readme` as its README.md.
+    fn docsync_fixture(tag: &str, readme: &str) -> PathBuf {
+        let dir = std::env::temp_dir().join(format!("xtask_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
         fs::create_dir_all(dir.join("crates/verify/src")).unwrap();
-        fs::create_dir_all(dir.join("crates/bounds/src")).unwrap();
+        fs::create_dir_all(dir.join("crates/core/src/experiments")).unwrap();
         fs::write(
             dir.join("crates/verify/src/violation.rs"),
             "fn c() -> &'static str { \"V001-DEP-DISTANCE\" }\n",
         )
         .unwrap();
         fs::write(
-            dir.join("crates/bounds/src/certificate.rs"),
-            "fn c() -> &'static str { \"B001-RESMII\" }\n",
+            dir.join("crates/core/src/experiments/pruned.rs"),
+            "fn c() -> &'static str { \"B004-STORAGE\" }\n",
         )
         .unwrap();
-        fs::write(dir.join("README.md"), "| `V001-DEP-DISTANCE` | dependency distance |\n")
-            .unwrap();
+        fs::write(dir.join("README.md"), readme).unwrap();
+        dir
+    }
+
+    #[test]
+    fn undocumented_codes_are_flagged() {
+        let dir = docsync_fixture("docsync", "| `V001-DEP-DISTANCE` | dependency distance |\n");
         let mut findings = Vec::new();
         check_code_docs(&dir, &mut findings);
         assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].contains("B001-RESMII"), "{findings:?}");
+        assert!(findings[0].contains("B004-STORAGE"), "{findings:?}");
         // Documenting the code clears the finding.
         fs::write(
             dir.join("README.md"),
-            "| `V001-DEP-DISTANCE` | dep |\n| `B001-RESMII` | res MII |\n",
+            "| `V001-DEP-DISTANCE` | dep |\n| `B004-STORAGE` | pigeonhole |\n",
         )
         .unwrap();
         findings.clear();
         check_code_docs(&dir, &mut findings);
         assert!(findings.is_empty(), "{findings:?}");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn documented_codes_no_source_defines_are_flagged() {
+        // A table row for a code no source defines is flagged with its line;
+        // the same kind of code in prose outside a table is not.
+        let dir = docsync_fixture(
+            "docsync_reverse",
+            "| `V001-DEP-DISTANCE` | dep |\n| `B004-STORAGE` | pigeonhole |\n\
+             | `B001-RESMII` | resource MII |\nProse about `B002-RECMII`.\n",
+        );
+        let mut findings = Vec::new();
+        check_code_docs(&dir, &mut findings);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert!(findings[0].starts_with("README.md:3:"), "{findings:?}");
+        assert!(findings[0].contains("B001-RESMII"), "{findings:?}");
         let _ = fs::remove_dir_all(&dir);
     }
 

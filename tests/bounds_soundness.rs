@@ -1,6 +1,6 @@
-//! Soundness of the certified static bounds (`vliw-bounds`) against the real
+//! Soundness of the static lower bounds (`vliw-bounds`) against the real
 //! compiler: for random `loopgen` loops driven through both schedulers, no
-//! certified lower bound may ever exceed what the compiler achieves —
+//! lower bound may ever exceed what the compiler achieves —
 //! `mii() <= achieved II <= ii_cap`, and the min-live pigeonhole never
 //! exceeds the storage the allocator actually reserves.
 //!
@@ -8,7 +8,7 @@
 //! tightness ratio `mii() / achieved II` over a fixed seed sweep, emitted as a
 //! JSON report (run with `--nocapture` to see it).  Soundness says the ratio
 //! is ≤ 1 everywhere; the report records how far below 1 it sits, which is
-//! the pruning power the certificate-pruned sweep trades on.
+//! how much of the achieved II the analyzer explains without compiling.
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
