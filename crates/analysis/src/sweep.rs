@@ -9,8 +9,9 @@
 //! storage and at least as good at keeping the corpus capacity-clean.
 
 use std::collections::HashMap;
+use std::io;
 
-use serde::{de, Deserialize, Serialize, Value};
+use serde::{de, json, Deserialize, Serialize, Value};
 
 /// One grid point of the design-space sweep, aggregated over the corpus.
 #[derive(Debug, Clone, PartialEq)]
@@ -71,29 +72,26 @@ impl SweepRow {
 // ---------------------------------------------------------------------------
 
 impl Serialize for SweepRow {
-    fn serialize(&self) -> Value {
-        let mut entries = vec![
-            ("clusters".to_string(), self.clusters.serialize()),
-            ("fu_mix".to_string(), self.fu_mix.serialize()),
-        ];
-        if self.topology != "ring" {
-            entries.push(("topology".to_string(), self.topology.serialize()));
-        }
-        entries.extend([
-            ("fus".to_string(), self.fus.serialize()),
-            ("queues_per_cluster".to_string(), self.queues_per_cluster.serialize()),
-            ("queue_capacity".to_string(), self.queue_capacity.serialize()),
-            ("link_depth".to_string(), self.link_depth.serialize()),
-            ("storage_bits".to_string(), self.storage_bits.serialize()),
-            ("loops".to_string(), self.loops.serialize()),
-            ("frac_schedulable".to_string(), self.frac_schedulable.serialize()),
-            ("frac_alloc_fits".to_string(), self.frac_alloc_fits.serialize()),
-            ("frac_sim_clean".to_string(), self.frac_sim_clean.serialize()),
-            ("frac_clean".to_string(), self.frac_clean.serialize()),
-            ("pareto".to_string(), self.pareto.serialize()),
-            ("paper_point".to_string(), self.paper_point.serialize()),
-        ]);
-        Value::Object(entries)
+    fn write_json(&self, w: &mut json::Writer<'_>) -> io::Result<()> {
+        w.object(|o| {
+            o.field("clusters", &self.clusters)?;
+            o.field("fu_mix", &self.fu_mix)?;
+            if self.topology != "ring" {
+                o.field("topology", &self.topology)?;
+            }
+            o.field("fus", &self.fus)?;
+            o.field("queues_per_cluster", &self.queues_per_cluster)?;
+            o.field("queue_capacity", &self.queue_capacity)?;
+            o.field("link_depth", &self.link_depth)?;
+            o.field("storage_bits", &self.storage_bits)?;
+            o.field("loops", &self.loops)?;
+            o.field("frac_schedulable", &self.frac_schedulable)?;
+            o.field("frac_alloc_fits", &self.frac_alloc_fits)?;
+            o.field("frac_sim_clean", &self.frac_sim_clean)?;
+            o.field("frac_clean", &self.frac_clean)?;
+            o.field("pareto", &self.pareto)?;
+            o.field("paper_point", &self.paper_point)
+        })
     }
 }
 

@@ -51,6 +51,7 @@
 //! byte-identical to the baseline report, so redirecting it still produces a
 //! valid document.
 
+use std::io::{BufWriter, Write as _};
 use std::process::ExitCode;
 
 use vliw_bench::{
@@ -122,13 +123,20 @@ impl Backend {
     }
 }
 
-/// Serializes and prints one report document on stdout (pretty) and the session
-/// cache statistics on stderr (one line), the JSON-mode contract of every
+/// Streams one report document to stdout as pretty JSON plus a newline,
+/// through one locked, buffered handle and with no whole-document `String`.
+fn print_json<T: serde::Serialize>(report: &T) -> Result<(), String> {
+    let mut out = BufWriter::new(std::io::stdout().lock());
+    serde_json::to_writer_pretty(&mut out, report)
+        .map_err(|e| format!("failed to serialize the report: {e}"))?;
+    writeln!(out).and_then(|()| out.flush()).map_err(|e| format!("failed to write the report: {e}"))
+}
+
+/// Prints one report document on stdout (pretty) and the session cache
+/// statistics on stderr (one line), the JSON-mode contract of every
 /// subcommand.
 fn emit_json<T: serde::Serialize>(report: &T, stats: &SessionStats) -> Result<(), String> {
-    let json = serde_json::to_string_pretty(report)
-        .map_err(|e| format!("failed to serialize the report: {e}"))?;
-    println!("{json}");
+    print_json(report)?;
     let stats_json = serde_json::to_string(stats)
         .map_err(|e| format!("failed to serialize the cache stats: {e}"))?;
     eprintln!("{stats_json}");
@@ -159,11 +167,7 @@ fn run_selection(selection: Selection, run: &RunConfig) -> Result<(), String> {
         }
         let report = run_stream(run).map_err(|e| e.to_string())?;
         match run.format {
-            OutputFormat::Json => {
-                let json = serde_json::to_string_pretty(&report)
-                    .map_err(|e| format!("failed to serialize the report: {e}"))?;
-                println!("{json}");
-            }
+            OutputFormat::Json => print_json(&report)?,
             OutputFormat::Text => {
                 println!(
                     "# Streamed run: {} loops, seed {}, {} threads\n",
@@ -182,8 +186,6 @@ fn run_selection(selection: Selection, run: &RunConfig) -> Result<(), String> {
     let stats = backend.stats()?;
     let _encode = vliw_core::obs::span!("report/encode");
     match run.format {
-        // Serialize each report from its own type: serializing a `Value`
-        // clones the whole tree, a second copy of a 40 MB sweep report.
         OutputFormat::Json => match responses.as_slice() {
             [ExperimentResponse::Simulate(report)] => emit_json(report, &stats)?,
             [ExperimentResponse::Sweep(report)] => emit_json(report, &stats)?,

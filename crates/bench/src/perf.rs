@@ -15,15 +15,15 @@
 //! Probes are named `group/probe`: `scheduler_micro/` (one pass over the
 //! kernel set), `placement/` (the bare schedulers over the bench corpus),
 //! `session/`, `sweep_grid/` and `sweep/` (the memo store and sweep driver),
-//! and `figures/<request>_cold` (each `figures all` request on a fresh
-//! session), so EXPERIMENTS.md tables and the trend file speak the same
-//! language.
+//! `report/` (the JSON encoder) and `figures/<request>_cold` (each `figures
+//! all` request on a fresh session), so EXPERIMENTS.md tables and the trend
+//! file speak the same language.
 
 use std::time::Instant;
 
 use serde::{Deserialize, Serialize};
 
-use vliw_core::experiments::{pruned_sweep_experiment_with, Classify};
+use vliw_core::experiments::{pruned_sweep_experiment_with, Classify, ExperimentConfig};
 use vliw_core::pipeline::CompilerConfig;
 use vliw_core::qrf::{allocate_queues, insert_copies, use_lifetimes};
 use vliw_core::sched::{mii, modulo_schedule, ImsOptions};
@@ -296,6 +296,23 @@ pub fn collect() -> PerfReport {
     let huge_session = Session::new(cfg.clone());
     probes.push(time_probe("sweep/huge_smoke", 2, 500, || {
         pruned_sweep_experiment_with(&huge_session, SweepGrid::Huge, Classify::Static, 0).unwrap()
+    }));
+
+    // report — the report `figures sweep --grid huge --prune true --classify
+    // static --corpus-size 8 --seed 386 --format json` prints (103,680 rows,
+    // ~40 MB of pretty JSON), built once and streamed into `io::sink()`, so an
+    // iteration times the encoder alone.
+    let mut huge_8_cfg = ExperimentConfig::quick(8, BENCH_SEED);
+    huge_8_cfg.threads = cfg.threads;
+    let huge_8 = pruned_sweep_experiment_with(
+        &Session::new(huge_8_cfg),
+        SweepGrid::Huge,
+        Classify::Static,
+        0,
+    )
+    .unwrap();
+    probes.push(time_probe("report/encode_huge_8", 3, 500, || {
+        serde_json::to_writer_pretty(std::io::sink(), &huge_8).unwrap()
     }));
 
     // figures — each request of `figures all` on a fresh session, so an

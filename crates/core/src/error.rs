@@ -14,8 +14,9 @@
 //! `Display` of a round-tripped error equals `Display` of the original, which
 //! is the property the persistent store and the tests rely on.
 
-use serde::de;
-use serde::{Deserialize, Serialize, Value};
+use std::io;
+
+use serde::{de, json, Deserialize, Serialize, Value};
 use vliw_sched::SchedError;
 
 /// Any failure of the session, experiment, persistence or protocol layers.
@@ -114,11 +115,11 @@ impl From<std::io::Error> for VliwError {
 }
 
 impl Serialize for VliwError {
-    fn serialize(&self) -> Value {
-        Value::Object(vec![
-            ("kind".to_string(), Value::String(self.kind().to_string())),
-            ("message".to_string(), Value::String(self.to_string())),
-        ])
+    fn write_json(&self, w: &mut json::Writer<'_>) -> io::Result<()> {
+        w.object(|o| {
+            o.field("kind", self.kind())?;
+            o.field("message", &self.to_string())
+        })
     }
 }
 
@@ -151,6 +152,26 @@ mod tests {
             assert_eq!(back.to_string(), e.to_string(), "{e:?}");
             assert_eq!(back.kind(), e.kind());
         }
+    }
+
+    #[test]
+    fn the_wire_form_is_pinned() {
+        // Written by the encoder that built a `Value` tree first.
+        let e = VliwError::InvalidRequest("unknown experiment \"fig5\"\n".to_string());
+        assert_eq!(
+            serde_json::to_string(&e).unwrap(),
+            r#"{"kind":"invalid_request","message":"invalid request: unknown experiment \"fig5\"\n"}"#
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&e).unwrap(),
+            "{\n  \"kind\": \"invalid_request\",\
+             \n  \"message\": \"invalid request: unknown experiment \\\"fig5\\\"\\n\"\n}"
+        );
+        let panic = VliwError::WorkerPanic { index: 19, message: "II search diverged".into() };
+        assert_eq!(
+            serde_json::to_string(&panic).unwrap(),
+            r#"{"kind":"worker_panic","message":"experiment worker panicked at loop index 19: II search diverged"}"#
+        );
     }
 
     #[test]

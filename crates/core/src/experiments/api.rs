@@ -15,15 +15,17 @@
 //!   response over a shared [`Session`].  The in-process `figures` run and the
 //!   daemon both execute every experiment through it.
 //!
-//! Both enums serialize through the vendored serde `Value` model with an
-//! `"experiment"` tag, so a request written by the CLI client is readable by the
-//! daemon and vice versa.  The response payloads reuse the drivers' own row
-//! serialization: a client that deserializes a response and re-serializes the
-//! rows reproduces the in-process JSON byte for byte (the vendored
-//! `serde_json` prints floats in shortest-round-trip form, so nothing is lost
-//! in transit).
+//! Both enums are written as JSON objects with an `"experiment"` tag (and read
+//! back through the vendored serde `Value` model), so a request written by the
+//! CLI client is readable by the daemon and vice versa.  The response payloads
+//! reuse the drivers' own row serialization: a client that deserializes a
+//! response and re-serializes the rows reproduces the in-process JSON byte for
+//! byte (the vendored `serde_json` prints floats in shortest-round-trip form,
+//! so nothing is lost in transit).
 
-use serde::{de, Deserialize, Serialize, Value};
+use std::io;
+
+use serde::{de, json, Deserialize, Serialize, Value};
 use vliw_machine::SweepGrid;
 
 use crate::error::VliwError;
@@ -201,13 +203,6 @@ impl ExperimentResponse {
 // `{"experiment": "<name>", ...params-or-rows}`.
 // ---------------------------------------------------------------------------
 
-/// Builds the `{"experiment": name, ...}` envelope shared by both enums.
-fn tagged(name: &str, extra: Vec<(String, Value)>) -> Value {
-    let mut entries = vec![("experiment".to_string(), Value::String(name.to_string()))];
-    entries.extend(extra);
-    Value::Object(entries)
-}
-
 /// An `"experiment"` tag plus the object's entries, as read off the wire.
 type TaggedEntries<'a> = (&'a str, &'a [(String, Value)]);
 
@@ -222,30 +217,32 @@ fn tag_of(v: &Value) -> Result<TaggedEntries<'_>, de::Error> {
 }
 
 impl Serialize for ExperimentRequest {
-    fn serialize(&self) -> Value {
-        match self {
-            ExperimentRequest::Resources { cluster_counts } => tagged(
-                self.name(),
-                vec![("cluster_counts".to_string(), cluster_counts.serialize())],
-            ),
-            ExperimentRequest::Sweep { grid, classify, prune, audit } => {
-                let mut extra = vec![("grid".to_string(), Value::String(grid.name().to_string()))];
-                // Default values are omitted, so pre-classify (and pre-prune)
-                // clients and daemons keep exchanging byte-identical requests.
-                if *classify != Classify::default() {
-                    extra
-                        .push(("classify".to_string(), Value::String(classify.name().to_string())));
+    fn write_json(&self, w: &mut json::Writer<'_>) -> io::Result<()> {
+        w.object(|o| {
+            o.field("experiment", self.name())?;
+            match self {
+                ExperimentRequest::Resources { cluster_counts } => {
+                    o.field("cluster_counts", cluster_counts)
                 }
-                if *prune {
-                    extra.push(("prune".to_string(), Value::Bool(true)));
+                ExperimentRequest::Sweep { grid, classify, prune, audit } => {
+                    o.field("grid", grid.name())?;
+                    // Default values are omitted, so pre-classify (and
+                    // pre-prune) clients and daemons keep exchanging
+                    // byte-identical requests.
+                    if *classify != Classify::default() {
+                        o.field("classify", classify.name())?;
+                    }
+                    if *prune {
+                        o.field("prune", &true)?;
+                    }
+                    if *audit > 0 {
+                        o.field("audit", audit)?;
+                    }
+                    Ok(())
                 }
-                if *audit > 0 {
-                    extra.push(("audit".to_string(), audit.serialize()));
-                }
-                tagged(self.name(), extra)
+                _ => Ok(()),
             }
-            other => tagged(other.name(), Vec::new()),
-        }
+        })
     }
 }
 
@@ -290,20 +287,22 @@ impl Deserialize for ExperimentRequest {
 impl Serialize for ExperimentResponse {
     /// The tagged wrapper around the driver's rows or report, which serialize
     /// exactly as the driver's own type does.
-    fn serialize(&self) -> Value {
-        let document = match self {
-            ExperimentResponse::Fig3(rows) => rows.serialize(),
-            ExperimentResponse::CopyCost(rows) => rows.serialize(),
-            ExperimentResponse::Fig4(rows) => rows.serialize(),
-            ExperimentResponse::Fig6(rows) => rows.serialize(),
-            ExperimentResponse::Resources(rows) => rows.serialize(),
-            ExperimentResponse::Fig8(points) => points.serialize(),
-            ExperimentResponse::Fig9(points) => points.serialize(),
-            ExperimentResponse::Simulate(report) => report.serialize(),
-            ExperimentResponse::Sweep(report) => report.serialize(),
-            ExperimentResponse::Verify(report) => report.serialize(),
-        };
-        tagged(self.name(), vec![("rows".to_string(), document)])
+    fn write_json(&self, w: &mut json::Writer<'_>) -> io::Result<()> {
+        w.object(|o| {
+            o.field("experiment", self.name())?;
+            match self {
+                ExperimentResponse::Fig3(rows) => o.field("rows", rows),
+                ExperimentResponse::CopyCost(rows) => o.field("rows", rows),
+                ExperimentResponse::Fig4(rows) => o.field("rows", rows),
+                ExperimentResponse::Fig6(rows) => o.field("rows", rows),
+                ExperimentResponse::Resources(rows) => o.field("rows", rows),
+                ExperimentResponse::Fig8(points) => o.field("rows", points),
+                ExperimentResponse::Fig9(points) => o.field("rows", points),
+                ExperimentResponse::Simulate(report) => o.field("rows", report),
+                ExperimentResponse::Sweep(report) => o.field("rows", report),
+                ExperimentResponse::Verify(report) => o.field("rows", report),
+            }
+        })
     }
 }
 

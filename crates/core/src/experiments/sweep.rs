@@ -27,7 +27,9 @@
 //!
 //! [`CommStats::fits_pools`]: vliw_partition::CommStats::fits_pools
 
-use serde::{de, Deserialize, Serialize, Value};
+use std::io;
+
+use serde::{de, json, Deserialize, Serialize, Value};
 use vliw_analysis::{SweepRow, TextTable};
 use vliw_machine::{Machine, MachineConfig};
 
@@ -101,20 +103,19 @@ pub struct SweepReport {
 // pre-pruning byte-identical JSON.
 
 impl Serialize for SweepReport {
-    fn serialize(&self) -> Value {
-        let mut entries = vec![
-            ("corpus_size".to_string(), self.corpus_size.serialize()),
-            ("seed".to_string(), self.seed.serialize()),
-            ("grid".to_string(), self.grid.serialize()),
-            ("trip_count".to_string(), self.trip_count.serialize()),
-            ("configs".to_string(), self.configs.serialize()),
-            ("shapes".to_string(), self.shapes.serialize()),
-        ];
-        if let Some(prune) = &self.prune {
-            entries.push(("prune".to_string(), prune.serialize()));
-        }
-        entries.push(("rows".to_string(), self.rows.serialize()));
-        Value::Object(entries)
+    fn write_json(&self, w: &mut json::Writer<'_>) -> io::Result<()> {
+        w.object(|o| {
+            o.field("corpus_size", &self.corpus_size)?;
+            o.field("seed", &self.seed)?;
+            o.field("grid", &self.grid)?;
+            o.field("trip_count", &self.trip_count)?;
+            o.field("configs", &self.configs)?;
+            o.field("shapes", &self.shapes)?;
+            if let Some(prune) = &self.prune {
+                o.field("prune", prune)?;
+            }
+            o.field("rows", &self.rows)
+        })
     }
 }
 

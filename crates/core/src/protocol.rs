@@ -24,7 +24,7 @@
 
 use std::io::{ErrorKind, IoSlice, Read, Write};
 
-use serde::{de, Deserialize, Serialize, Value};
+use serde::{de, json, Deserialize, Serialize, Value};
 
 use crate::error::VliwError;
 use crate::experiments::{ExperimentRequest, ExperimentResponse};
@@ -44,33 +44,8 @@ pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 
 /// Writes one frame: 4-byte big-endian length, then the compact JSON of
 /// `value`.
-///
-/// Header and payload go out in one vectored write, so the peer never wakes
-/// for a header whose payload is still in flight, and the payload is never
-/// copied behind the header.  Short writes resume where they stopped.
 pub fn write_frame<W: Write + ?Sized>(w: &mut W, value: &Value) -> Result<(), VliwError> {
-    let text = serde_json::to_string(value).map_err(|e| VliwError::Protocol(e.to_string()))?;
-    let bytes = text.as_bytes();
-    let len =
-        u32::try_from(bytes.len()).ok().filter(|len| *len <= MAX_FRAME_BYTES).ok_or_else(|| {
-            VliwError::Protocol(format!(
-                "frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
-                bytes.len()
-            ))
-        })?;
-    let header = len.to_be_bytes();
-    let mut slices = [IoSlice::new(&header), IoSlice::new(bytes)];
-    let mut pending = &mut slices[..];
-    while !pending.is_empty() {
-        match w.write_vectored(pending) {
-            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
-            Ok(n) => IoSlice::advance_slices(&mut pending, n),
-            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e.into()),
-        }
-    }
-    w.flush()?;
-    Ok(())
+    write_message(w, value)
 }
 
 /// Reads one frame, or `None` on a clean end-of-stream (the peer closed the
@@ -113,11 +88,39 @@ pub fn read_frame<R: Read + ?Sized>(r: &mut R) -> Result<Option<Value>, VliwErro
 }
 
 /// Serializes `message` and writes it as one frame.
-pub fn write_message<W: Write + ?Sized, T: Serialize>(
+///
+/// The payload is encoded in full before anything is sent, because the length
+/// prefix comes first; so a message that cannot be encoded (a NaN or an
+/// infinity) is a protocol error that writes no byte, and the stream stays
+/// usable.  Header and payload then go out in one vectored write, so the peer
+/// never wakes for a header whose payload is still in flight, and the payload
+/// is never copied behind the header.  Short writes resume where they stopped.
+pub fn write_message<W: Write + ?Sized, T: Serialize + ?Sized>(
     w: &mut W,
     message: &T,
 ) -> Result<(), VliwError> {
-    write_frame(w, &message.serialize())
+    let text = serde_json::to_string(message).map_err(|e| VliwError::Protocol(e.to_string()))?;
+    let bytes = text.as_bytes();
+    let len =
+        u32::try_from(bytes.len()).ok().filter(|len| *len <= MAX_FRAME_BYTES).ok_or_else(|| {
+            VliwError::Protocol(format!(
+                "frame of {} bytes exceeds the {MAX_FRAME_BYTES}-byte cap",
+                bytes.len()
+            ))
+        })?;
+    let header = len.to_be_bytes();
+    let mut slices = [IoSlice::new(&header), IoSlice::new(bytes)];
+    let mut pending = &mut slices[..];
+    while !pending.is_empty() {
+        match w.write_vectored(pending) {
+            Ok(0) => return Err(std::io::Error::from(ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut pending, n),
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        }
+    }
+    w.flush()?;
+    Ok(())
 }
 
 /// Reads one frame and deserializes it, or `None` on a clean end-of-stream.
@@ -210,16 +213,22 @@ pub struct ResponseEnvelope {
 // their bodies are serialized by hand as one flat tagged object:
 // `{"id": N, "type": "<tag>", ...body}`.
 
-/// Builds the flat `{"id", "type", ...}` envelope object.
-fn envelope(id: u64, tag: &str, extra: Option<(&str, Value)>) -> Value {
-    let mut entries = vec![
-        ("id".to_string(), id.serialize()),
-        ("type".to_string(), Value::String(tag.to_string())),
-    ];
-    if let Some((key, value)) = extra {
-        entries.push((key.to_string(), value));
-    }
-    Value::Object(entries)
+/// Writes the flat `{"id", "type", ...}` envelope object, with at most one
+/// body field.
+fn envelope<T: Serialize + ?Sized>(
+    w: &mut json::Writer<'_>,
+    id: u64,
+    tag: &str,
+    body: Option<(&str, &T)>,
+) -> std::io::Result<()> {
+    w.object(|o| {
+        o.field("id", &id)?;
+        o.field("type", tag)?;
+        match body {
+            Some((key, value)) => o.field(key, value),
+            None => Ok(()),
+        }
+    })
 }
 
 /// An envelope's `id`, `type` tag and remaining entries, as read off the wire.
@@ -237,16 +246,15 @@ fn envelope_parts(v: &Value) -> Result<EnvelopeParts<'_>, de::Error> {
 }
 
 impl Serialize for RequestEnvelope {
-    fn serialize(&self) -> Value {
-        match &self.body {
-            WireRequest::Info => envelope(self.id, "info", None),
-            WireRequest::Run(requests) => {
-                envelope(self.id, "run", Some(("requests", requests.serialize())))
-            }
-            WireRequest::Stats => envelope(self.id, "stats", None),
-            WireRequest::Metrics => envelope(self.id, "metrics", None),
-            WireRequest::Shutdown => envelope(self.id, "shutdown", None),
-        }
+    fn write_json(&self, w: &mut json::Writer<'_>) -> std::io::Result<()> {
+        let (tag, requests) = match &self.body {
+            WireRequest::Info => ("info", None),
+            WireRequest::Run(requests) => ("run", Some(("requests", requests))),
+            WireRequest::Stats => ("stats", None),
+            WireRequest::Metrics => ("metrics", None),
+            WireRequest::Shutdown => ("shutdown", None),
+        };
+        envelope(w, self.id, tag, requests)
     }
 }
 
@@ -266,22 +274,15 @@ impl Deserialize for RequestEnvelope {
 }
 
 impl Serialize for ResponseEnvelope {
-    fn serialize(&self) -> Value {
+    fn write_json(&self, w: &mut json::Writer<'_>) -> std::io::Result<()> {
+        let id = self.id;
         match &self.body {
-            WireResponse::Info(info) => envelope(self.id, "info", Some(("info", info.serialize()))),
-            WireResponse::Run(responses) => {
-                envelope(self.id, "run", Some(("responses", responses.serialize())))
-            }
-            WireResponse::Stats(stats) => {
-                envelope(self.id, "stats", Some(("stats", stats.serialize())))
-            }
-            WireResponse::Metrics(text) => {
-                envelope(self.id, "metrics", Some(("text", Value::String(text.clone()))))
-            }
-            WireResponse::Shutdown => envelope(self.id, "shutdown", None),
-            WireResponse::Error(error) => {
-                envelope(self.id, "error", Some(("error", error.serialize())))
-            }
+            WireResponse::Info(info) => envelope(w, id, "info", Some(("info", info))),
+            WireResponse::Run(responses) => envelope(w, id, "run", Some(("responses", responses))),
+            WireResponse::Stats(stats) => envelope(w, id, "stats", Some(("stats", stats))),
+            WireResponse::Metrics(text) => envelope(w, id, "metrics", Some(("text", text))),
+            WireResponse::Shutdown => envelope::<str>(w, id, "shutdown", None),
+            WireResponse::Error(error) => envelope(w, id, "error", Some(("error", error))),
         }
     }
 }
@@ -305,7 +306,9 @@ impl Deserialize for ResponseEnvelope {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::experiments::{Classify, Fig6Row};
     use std::io::Cursor;
+    use vliw_machine::SweepGrid;
 
     fn frame_round_trip(value: Value) -> Value {
         let mut buf = Vec::new();
@@ -486,6 +489,73 @@ mod tests {
                 _ => assert_eq!(back, response),
             }
         }
+    }
+
+    #[test]
+    fn a_request_envelope_has_a_pinned_wire_form() {
+        // Written by the encoder that built a `Value` tree first.
+        let run = RequestEnvelope {
+            id: 2,
+            body: WireRequest::Run(vec![
+                ExperimentRequest::Fig3,
+                ExperimentRequest::Resources { cluster_counts: vec![4, 5, 6] },
+                ExperimentRequest::Sweep {
+                    grid: SweepGrid::Huge,
+                    classify: Classify::Static,
+                    prune: true,
+                    audit: 64,
+                },
+                ExperimentRequest::Sweep {
+                    grid: SweepGrid::Small,
+                    classify: Classify::Dynamic,
+                    prune: false,
+                    audit: 0,
+                },
+            ]),
+        };
+        assert_eq!(
+            serde_json::to_string(&run).unwrap(),
+            r#"{"id":2,"type":"run","requests":[{"experiment":"fig3"},{"experiment":"resources","cluster_counts":[4,5,6]},{"experiment":"sweep","grid":"huge","classify":"static","prune":true,"audit":64},{"experiment":"sweep","grid":"small"}]}"#
+        );
+        assert_eq!(
+            serde_json::to_string_pretty(&run).unwrap(),
+            "{\n  \"id\": 2,\n  \"type\": \"run\",\n  \"requests\": [\n    {\n      \"experiment\": \"fig3\"\n    },\
+             \n    {\n      \"experiment\": \"resources\",\n      \"cluster_counts\": [\n        4,\n        5,\
+             \n        6\n      ]\n    },\n    {\n      \"experiment\": \"sweep\",\n      \"grid\": \"huge\",\
+             \n      \"classify\": \"static\",\n      \"prune\": true,\n      \"audit\": 64\n    },\n    {\
+             \n      \"experiment\": \"sweep\",\n      \"grid\": \"small\"\n    }\n  ]\n}"
+        );
+        let shutdown = RequestEnvelope { id: u64::MAX, body: WireRequest::Shutdown };
+        assert_eq!(
+            serde_json::to_string(&shutdown).unwrap(),
+            r#"{"id":18446744073709551615,"type":"shutdown"}"#
+        );
+    }
+
+    #[test]
+    fn a_frame_that_cannot_be_encoded_sends_nothing() {
+        let row = |same_ii: f64| Fig6Row {
+            clusters: 4,
+            fus: 12,
+            same_ii,
+            ii_plus_one: 0.25,
+            ii_plus_more: 0.0,
+            mean_ii_ratio: 1.5,
+            same_stage_count: 1.0,
+            loops: 8,
+        };
+        let response = |same_ii: f64| ResponseEnvelope {
+            id: 9,
+            body: WireResponse::Run(vec![ExperimentResponse::Fig6(vec![row(0.5), row(same_ii)])]),
+        };
+        let mut stream = CountingWriter { bytes: Vec::new(), calls: 0, chunk: usize::MAX };
+        let err = write_message(&mut stream, &response(f64::NAN)).unwrap_err();
+        assert_eq!(err.kind(), "protocol", "{err}");
+        assert_eq!((stream.calls, stream.bytes.len()), (0, 0), "no byte of the frame left");
+        write_message(&mut stream, &response(0.75)).unwrap();
+        let back: ResponseEnvelope =
+            read_message(&mut Cursor::new(stream.bytes)).unwrap().expect("one message");
+        assert_eq!(back, response(0.75));
     }
 
     #[test]

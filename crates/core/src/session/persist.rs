@@ -29,11 +29,10 @@
 
 use std::fs;
 use std::hash::{Hash, Hasher};
-use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{de, Serialize, Value};
+use serde::{de, json, Serialize, Value};
 use vliw_ddg::Loop;
 
 use crate::error::VliwError;
@@ -169,11 +168,11 @@ impl PersistStore {
     /// Persists a compilation result (both successes and scheduling failures,
     /// so a warm run replays failures without recompiling them). Best-effort.
     pub fn store_compile(&self, key: u64, lp: u64, result: &Result<LoopSummary, VliwError>) {
-        let body = match result {
-            Ok(summary) => ("ok".to_string(), summary.serialize()),
-            Err(e) => ("err".to_string(), e.serialize()),
-        };
-        self.write_envelope(&self.compile_path(key, lp), key, lp, body);
+        let path = self.compile_path(key, lp);
+        match result {
+            Ok(summary) => self.write_envelope(&path, key, lp, "ok", summary),
+            Err(e) => self.write_envelope(&path, key, lp, "err", e),
+        }
     }
 
     /// Loads a simulation summary, or `None` on miss / corruption / mismatch.
@@ -185,7 +184,7 @@ impl PersistStore {
     /// Persists a simulation summary. Best-effort.
     pub fn store_sim(&self, key: u64, lp: u64, trip_count: u64, run: &SimSummary) {
         let path = self.sim_path(key, lp, trip_count);
-        self.write_envelope(&path, key, lp, ("run".to_string(), run.serialize()));
+        self.write_envelope(&path, key, lp, "run", run);
     }
 
     /// Reads `path`, parses it, and verifies the version/digest envelope.
@@ -234,22 +233,17 @@ impl PersistStore {
         }
     }
 
-    /// Serializes the envelope and writes it via tmp-file + atomic rename.
-    fn write_envelope(&self, path: &Path, key: u64, lp: u64, body: (String, Value)) {
+    /// Streams the envelope `{store_version, key, loop, <tag>: body}` into a
+    /// tmp file and renames it into place.
+    fn write_envelope<T: Serialize>(&self, path: &Path, key: u64, lp: u64, tag: &str, body: &T) {
         let _span = vliw_obs::span!("persist/io", lp);
-        let envelope = Value::Object(vec![
-            ("store_version".to_string(), Value::UInt(u64::from(STORE_VERSION))),
-            ("key".to_string(), Value::String(format!("{key:016x}"))),
-            ("loop".to_string(), Value::String(format!("{lp:016x}"))),
-            body,
-        ]);
-        let Ok(text) = serde_json::to_string(&envelope) else { return };
+        let envelope = Envelope { key, lp, tag, body };
         // Unique tmp name per writer so concurrent stores of the same entry
         // cannot interleave; the rename makes the final name appear atomically.
         let tmp = path.with_extension(format!("tmp.{:x}", thread_token()));
         let write = (|| {
             let mut f = fs::File::create(&tmp)?;
-            f.write_all(text.as_bytes())?;
+            serde_json::to_writer(&mut f, &envelope).map_err(std::io::Error::other)?;
             f.sync_data().ok();
             fs::rename(&tmp, path)
         })();
@@ -261,6 +255,27 @@ impl PersistStore {
                 let _ = fs::remove_file(&tmp);
             }
         }
+    }
+}
+
+/// One persisted entry: the version/digest header the loader verifies, then
+/// the payload under its tag (`ok` / `err` for compilations, `run` for
+/// simulations).
+struct Envelope<'a, T> {
+    key: u64,
+    lp: u64,
+    tag: &'a str,
+    body: &'a T,
+}
+
+impl<T: Serialize> Serialize for Envelope<'_, T> {
+    fn write_json(&self, w: &mut json::Writer<'_>) -> std::io::Result<()> {
+        w.object(|o| {
+            o.field("store_version", &STORE_VERSION)?;
+            o.field("key", &format!("{:016x}", self.key))?;
+            o.field("loop", &format!("{:016x}", self.lp))?;
+            o.field(self.tag, self.body)
+        })
     }
 }
 

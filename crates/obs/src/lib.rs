@@ -22,8 +22,8 @@
 //! collect them at the end of a run.  Two exporters consume a snapshot:
 //! [`chrome_trace`] renders Chrome `trace_event` JSON (loadable in
 //! `chrome://tracing` or Perfetto) and [`stage_stats`] aggregates per-stage
-//! duration histograms (count / p50 / p99 / total) for the text and JSON
-//! breakdown tables.
+//! duration histograms (count / total / self time / p50 / p99) for the text
+//! and JSON breakdown tables.
 //!
 //! ```
 //! vliw_obs::enable();
@@ -432,6 +432,9 @@ pub struct StageStat {
     pub count: u64,
     /// Sum of span durations.
     pub total_ns: u64,
+    /// Sum of span self times: each span's duration minus the durations of
+    /// the spans nested directly inside it on its thread.
+    pub self_ns: u64,
     /// Median span duration (nearest rank).
     pub p50_ns: u64,
     /// 99th-percentile span duration (nearest rank).
@@ -444,15 +447,26 @@ fn rank(len: usize, pct: usize) -> usize {
 
 /// Aggregates a snapshot into per-stage duration statistics, in pipeline
 /// order; stages with no completed spans are omitted.
+///
+/// A span's self time excludes its children on the same thread, so on every
+/// thread the self times of all its spans sum to the wall time of its
+/// outermost spans: no interval is counted twice.
 pub fn stage_stats(threads: &[ThreadEvents]) -> Vec<StageStat> {
     let mut durations: Vec<Vec<u64>> = vec![Vec::new(); Stage::ALL.len()];
+    let mut self_ns = vec![0u64; Stage::ALL.len()];
     for t in threads {
-        let mut stack: Vec<(usize, u64)> = Vec::new();
+        // Open spans: (stage, begin, time covered by closed children).
+        let mut stack: Vec<(usize, u64, u64)> = Vec::new();
         for e in &t.events {
             if e.begin {
-                stack.push((e.stage as usize, e.ts_ns));
-            } else if let Some((stage, begin_ns)) = stack.pop() {
-                durations[stage].push(e.ts_ns.saturating_sub(begin_ns));
+                stack.push((e.stage as usize, e.ts_ns, 0));
+            } else if let Some((stage, begin_ns, children_ns)) = stack.pop() {
+                let duration = e.ts_ns.saturating_sub(begin_ns);
+                durations[stage].push(duration);
+                self_ns[stage] += duration.saturating_sub(children_ns);
+                if let Some(parent) = stack.last_mut() {
+                    parent.2 += duration;
+                }
             }
         }
     }
@@ -468,6 +482,7 @@ pub fn stage_stats(threads: &[ThreadEvents]) -> Vec<StageStat> {
                 stage,
                 count: d.len() as u64,
                 total_ns: d.iter().sum(),
+                self_ns: self_ns[stage as usize],
                 p50_ns: d[rank(d.len(), 50)],
                 p99_ns: d[rank(d.len(), 99)],
             })
@@ -488,29 +503,33 @@ pub fn fmt_duration(ns: u64) -> String {
     }
 }
 
-/// Renders stage statistics as an aligned text table with a share-of-total
-/// column.  Wall-clock shares across threads can sum past the elapsed time of
-/// the run (that is parallelism, not double counting: the taxonomy stages
-/// never nest within one another on a thread).
+/// Renders stage statistics as an aligned text table: each stage's total
+/// (every span's full duration, so a stage that encloses others, such as
+/// `sched/partition` around `qrf/alloc`, includes their time) and its self
+/// time (without its nested spans).  The share column is each stage's self
+/// time over the sum of all self times, so shares never count an interval
+/// twice.  Self times across threads can still sum past the elapsed time of
+/// the run: that is parallelism.
 pub fn render_stage_table(stats: &[StageStat]) -> String {
     let mut out = String::new();
     if stats.is_empty() {
         out.push_str("no spans recorded\n");
         return out;
     }
-    let grand_total: u64 = stats.iter().map(|s| s.total_ns).sum();
+    let grand_self: u64 = stats.iter().map(|s| s.self_ns).sum();
     out.push_str(&format!(
-        "{:<16} {:>8} {:>10} {:>10} {:>10} {:>7}\n",
-        "stage", "count", "total", "p50", "p99", "share"
+        "{:<16} {:>8} {:>10} {:>10} {:>10} {:>10} {:>7}\n",
+        "stage", "count", "total", "self", "p50", "p99", "share"
     ));
     for s in stats {
         let share =
-            if grand_total == 0 { 0.0 } else { s.total_ns as f64 * 100.0 / grand_total as f64 };
+            if grand_self == 0 { 0.0 } else { s.self_ns as f64 * 100.0 / grand_self as f64 };
         out.push_str(&format!(
-            "{:<16} {:>8} {:>10} {:>10} {:>10} {:>6.1}%\n",
+            "{:<16} {:>8} {:>10} {:>10} {:>10} {:>10} {:>6.1}%\n",
             s.stage.name(),
             s.count,
             fmt_duration(s.total_ns),
+            fmt_duration(s.self_ns),
             fmt_duration(s.p50_ns),
             fmt_duration(s.p99_ns),
             share
@@ -528,10 +547,12 @@ pub fn stage_table_json(stats: &[StageStat]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "{{\"stage\":\"{}\",\"count\":{},\"total_ns\":{},\"p50_ns\":{},\"p99_ns\":{}}}",
+            "{{\"stage\":\"{}\",\"count\":{},\"total_ns\":{},\"self_ns\":{},\"p50_ns\":{},\
+             \"p99_ns\":{}}}",
             s.stage.name(),
             s.count,
             s.total_ns,
+            s.self_ns,
             s.p50_ns,
             s.p99_ns
         ));
@@ -775,15 +796,81 @@ mod tests {
         assert_eq!((s.stage, s.count, s.total_ns), (Stage::Ims, 4, 100));
         assert_eq!(s.p50_ns, 20, "nearest-rank median of [10,20,30,40]");
         assert_eq!(s.p99_ns, 30, "nearest-rank p99 of a 4-sample set");
+        assert_eq!(s.self_ns, 100, "flat spans are all self time");
+    }
+
+    /// Builds one thread's events from `(stage, begin?, ts)` marks.
+    fn thread(tid: u64, marks: &[(Stage, bool, u64)]) -> ThreadEvents {
+        let events = marks
+            .iter()
+            .map(|&(stage, begin, ts_ns)| Event { stage, arg: 0, begin, ts_ns })
+            .collect();
+        ThreadEvents { tid, name: format!("t{tid}"), events }
+    }
+
+    #[test]
+    fn self_times_sum_to_each_threads_root_wall_time() {
+        use Stage::{Ims, Partition, Qrf, Sim, Verify};
+        // Thread 1: partition [0,100] ⊃ { ims [10,60] ⊃ { qrf [20,30], qrf [35,50] },
+        // ims [70,90] }, then a second root, sim [120,150].
+        let t1 = thread(
+            1,
+            &[
+                (Partition, true, 0),
+                (Ims, true, 10),
+                (Qrf, true, 20),
+                (Qrf, false, 30),
+                (Qrf, true, 35),
+                (Qrf, false, 50),
+                (Ims, false, 60),
+                (Ims, true, 70),
+                (Ims, false, 90),
+                (Partition, false, 100),
+                (Sim, true, 120),
+                (Sim, false, 150),
+            ],
+        );
+        // Thread 2: verify [5,45] ⊃ partition [10,40] ⊃ qrf [12,20], qrf [25,37].
+        let t2 = thread(
+            2,
+            &[
+                (Verify, true, 5),
+                (Partition, true, 10),
+                (Qrf, true, 12),
+                (Qrf, false, 20),
+                (Qrf, true, 25),
+                (Qrf, false, 37),
+                (Partition, false, 40),
+                (Verify, false, 45),
+            ],
+        );
+        let self_sum = |stats: &[StageStat]| stats.iter().map(|s| s.self_ns).sum::<u64>();
+        assert_eq!(self_sum(&stage_stats(std::slice::from_ref(&t1))), 100 + 30);
+        assert_eq!(self_sum(&stage_stats(std::slice::from_ref(&t2))), 40);
+        let both = stage_stats(&[t1, t2]);
+        assert_eq!(self_sum(&both), 170);
+        let by_stage: Vec<(Stage, u64, u64, u64)> =
+            both.iter().map(|s| (s.stage, s.count, s.total_ns, s.self_ns)).collect();
+        assert_eq!(
+            by_stage,
+            [
+                (Ims, 2, 70, 45),
+                (Partition, 2, 130, 40),
+                (Qrf, 4, 45, 45),
+                (Sim, 1, 30, 30),
+                (Verify, 1, 40, 10),
+            ]
+        );
     }
 
     #[test]
     fn stage_table_renders_every_observed_stage() {
         let stats = vec![
             StageStat {
-                stage: Stage::Ims,
+                stage: Stage::Partition,
                 count: 3,
-                total_ns: 3_000_000,
+                total_ns: 4_000_000,
+                self_ns: 3_000_000,
                 p50_ns: 900,
                 p99_ns: 1_200_000,
             },
@@ -791,18 +878,22 @@ mod tests {
                 stage: Stage::Qrf,
                 count: 1,
                 total_ns: 1_000_000,
+                self_ns: 1_000_000,
                 p50_ns: 1_000_000,
                 p99_ns: 1_000_000,
             },
         ];
         let table = render_stage_table(&stats);
-        assert!(table.contains("sched/ims"), "{table}");
+        let partition = table.lines().find(|l| l.starts_with("sched/partition")).expect(&table);
+        assert!(partition.contains("4.00ms") && partition.contains("3.00ms"), "{table}");
+        assert!(partition.ends_with("75.0%"), "share is self over all self time: {table}");
+        assert!(table.lines().next().unwrap().contains("total       self"), "{table}");
         assert!(table.contains("qrf/alloc"), "{table}");
-        assert!(table.contains("75.0%"), "{table}");
-        assert!(table.contains("3.00ms"), "{table}");
         let json = stage_table_json(&stats);
         assert!(json.starts_with('[') && json.ends_with(']'));
-        assert!(json.contains("\"stage\":\"sched/ims\",\"count\":3,\"total_ns\":3000000"));
+        assert!(json.contains(
+            "\"stage\":\"sched/partition\",\"count\":3,\"total_ns\":4000000,\"self_ns\":3000000"
+        ));
     }
 
     #[test]

@@ -13,8 +13,9 @@
 //! unrelated enums structurally.
 
 use std::fmt;
+use std::io;
 
-use serde::{de, Deserialize, Serialize, Value};
+use serde::{de, json, Deserialize, Serialize, Value};
 use vliw_ddg::OpId;
 use vliw_machine::{ClusterId, FuId};
 use vliw_sched::ScheduleViolation;
@@ -389,87 +390,71 @@ pub fn violations_of_run(run: &SimRun, declared_depths: Option<&[usize]>) -> Vec
 // the variant on the way back in).
 // ---------------------------------------------------------------------------
 
-fn entry(name: &str, v: Value) -> (String, Value) {
-    (name.to_string(), v)
-}
-
-fn uint(v: u64) -> Value {
-    Value::UInt(v)
-}
-
-fn opt_u64(v: &Option<u64>) -> Value {
-    match v {
-        Some(x) => Value::UInt(*x),
-        None => Value::Null,
-    }
-}
-
 impl Serialize for Violation {
-    fn serialize(&self) -> Value {
-        let mut entries = vec![
-            entry("code", Value::String(self.code().to_string())),
-            entry("severity", self.severity().serialize()),
-        ];
-        match self {
-            Violation::DepDistance { src, dst, iteration, cycle, ready_at } => {
-                entries.push(entry("src", uint(u64::from(src.0))));
-                entries.push(entry("dst", uint(u64::from(dst.0))));
-                entries.push(entry("iteration", opt_u64(iteration)));
-                entries.push(entry("cycle", opt_u64(cycle)));
-                entries.push(entry("ready_at", opt_u64(ready_at)));
+    fn write_json(&self, w: &mut json::Writer<'_>) -> io::Result<()> {
+        w.object(|o| {
+            o.field("code", self.code())?;
+            o.field("severity", &self.severity())?;
+            match self {
+                Violation::DepDistance { src, dst, iteration, cycle, ready_at } => {
+                    o.field("src", &src.0)?;
+                    o.field("dst", &dst.0)?;
+                    o.field("iteration", iteration)?;
+                    o.field("cycle", cycle)?;
+                    o.field("ready_at", ready_at)
+                }
+                Violation::FuConflict { first, second, fu, slot, cycle } => {
+                    o.field("first", &first.0)?;
+                    o.field("second", &second.0)?;
+                    o.field("fu", &fu.0)?;
+                    o.field("slot", slot)?;
+                    o.field("cycle", cycle)
+                }
+                Violation::WrongFuClass { op, fu } | Violation::UnknownFu { op, fu } => {
+                    o.field("op", &op.0)?;
+                    o.field("fu", &fu.0)
+                }
+                Violation::WrongLength { expected, actual } => {
+                    o.field("expected", expected)?;
+                    o.field("actual", actual)
+                }
+                Violation::PrivateOverflow { cluster, occupancy, capacity, cycle } => {
+                    o.field("cluster", &cluster.0)?;
+                    o.field("occupancy", occupancy)?;
+                    o.field("capacity", capacity)?;
+                    o.field("cycle", cycle)
+                }
+                Violation::CommOverflow { from, to, occupancy, capacity, cycle } => {
+                    o.field("from", &from.0)?;
+                    o.field("to", &to.0)?;
+                    o.field("occupancy", occupancy)?;
+                    o.field("capacity", capacity)?;
+                    o.field("cycle", cycle)
+                }
+                Violation::NonAdjacent { src, dst, from, to } => {
+                    o.field("src", &src.0)?;
+                    o.field("dst", &dst.0)?;
+                    o.field("from", &from.0)?;
+                    o.field("to", &to.0)
+                }
+                Violation::QueueDepthMismatch { queue, required, declared } => {
+                    o.field("queue", queue)?;
+                    o.field("required", required)?;
+                    o.field("declared", declared)
+                }
+                Violation::CopyBusOversubscribed { cluster, slot, copies, units } => {
+                    o.field("cluster", &cluster.0)?;
+                    o.field("slot", slot)?;
+                    o.field("copies", copies)?;
+                    o.field("units", units)
+                }
+                Violation::ZeroIi => Ok(()),
+                Violation::BadQueueMap { expected_edges, actual_edges } => {
+                    o.field("expected_edges", expected_edges)?;
+                    o.field("actual_edges", actual_edges)
+                }
             }
-            Violation::FuConflict { first, second, fu, slot, cycle } => {
-                entries.push(entry("first", uint(u64::from(first.0))));
-                entries.push(entry("second", uint(u64::from(second.0))));
-                entries.push(entry("fu", uint(u64::from(fu.0))));
-                entries.push(entry("slot", opt_u64(&slot.map(u64::from))));
-                entries.push(entry("cycle", opt_u64(cycle)));
-            }
-            Violation::WrongFuClass { op, fu } | Violation::UnknownFu { op, fu } => {
-                entries.push(entry("op", uint(u64::from(op.0))));
-                entries.push(entry("fu", uint(u64::from(fu.0))));
-            }
-            Violation::WrongLength { expected, actual } => {
-                entries.push(entry("expected", uint(*expected as u64)));
-                entries.push(entry("actual", uint(*actual as u64)));
-            }
-            Violation::PrivateOverflow { cluster, occupancy, capacity, cycle } => {
-                entries.push(entry("cluster", uint(u64::from(cluster.0))));
-                entries.push(entry("occupancy", uint(*occupancy as u64)));
-                entries.push(entry("capacity", uint(*capacity as u64)));
-                entries.push(entry("cycle", opt_u64(cycle)));
-            }
-            Violation::CommOverflow { from, to, occupancy, capacity, cycle } => {
-                entries.push(entry("from", uint(u64::from(from.0))));
-                entries.push(entry("to", uint(u64::from(to.0))));
-                entries.push(entry("occupancy", uint(*occupancy as u64)));
-                entries.push(entry("capacity", uint(*capacity as u64)));
-                entries.push(entry("cycle", opt_u64(cycle)));
-            }
-            Violation::NonAdjacent { src, dst, from, to } => {
-                entries.push(entry("src", uint(u64::from(src.0))));
-                entries.push(entry("dst", uint(u64::from(dst.0))));
-                entries.push(entry("from", uint(u64::from(from.0))));
-                entries.push(entry("to", uint(u64::from(to.0))));
-            }
-            Violation::QueueDepthMismatch { queue, required, declared } => {
-                entries.push(entry("queue", uint(*queue as u64)));
-                entries.push(entry("required", uint(*required as u64)));
-                entries.push(entry("declared", uint(*declared as u64)));
-            }
-            Violation::CopyBusOversubscribed { cluster, slot, copies, units } => {
-                entries.push(entry("cluster", uint(u64::from(cluster.0))));
-                entries.push(entry("slot", uint(u64::from(*slot))));
-                entries.push(entry("copies", uint(*copies as u64)));
-                entries.push(entry("units", uint(*units as u64)));
-            }
-            Violation::ZeroIi => {}
-            Violation::BadQueueMap { expected_edges, actual_edges } => {
-                entries.push(entry("expected_edges", uint(*expected_edges as u64)));
-                entries.push(entry("actual_edges", uint(*actual_edges as u64)));
-            }
-        }
-        Value::Object(entries)
+        })
     }
 }
 
@@ -746,6 +731,44 @@ mod tests {
             assert_eq!(back, v, "{json}");
             assert!(json.contains(&format!("\"code\":\"{}\"", v.code())), "{json}");
         }
+    }
+
+    #[test]
+    fn the_wire_form_is_pinned_per_variant() {
+        // Written by the encoder that built a `Value` tree first; no golden
+        // baseline holds a violation (the 32-loop corpus verifies clean).
+        let expected = [
+            r#"{"code":"V001-DEP-DISTANCE","severity":"Error","src":0,"dst":1,"iteration":3,"cycle":7,"ready_at":9}"#,
+            r#"{"code":"V001-DEP-DISTANCE","severity":"Error","src":0,"dst":1,"iteration":null,"cycle":null,"ready_at":null}"#,
+            r#"{"code":"V002-FU-CONFLICT","severity":"Error","first":0,"second":1,"fu":2,"slot":3,"cycle":null}"#,
+            r#"{"code":"V002-FU-CONFLICT","severity":"Error","first":0,"second":1,"fu":2,"slot":null,"cycle":4}"#,
+            r#"{"code":"V003-FU-CLASS","severity":"Error","op":5,"fu":0}"#,
+            r#"{"code":"V004-FU-UNKNOWN","severity":"Error","op":5,"fu":95}"#,
+            r#"{"code":"V005-WRONG-LENGTH","severity":"Error","expected":4,"actual":3}"#,
+            r#"{"code":"V006-PRIVATE-OVERFLOW","severity":"Warning","cluster":1,"occupancy":65,"capacity":64,"cycle":null}"#,
+            r#"{"code":"V007-COMM-OVERFLOW","severity":"Warning","from":0,"to":1,"occupancy":65,"capacity":64,"cycle":2}"#,
+            r#"{"code":"V008-NON-ADJACENT","severity":"Error","src":0,"dst":1,"from":0,"to":2}"#,
+            r#"{"code":"V009-QUEUE-DEPTH","severity":"Error","queue":3,"required":5,"declared":4}"#,
+            r#"{"code":"V010-COPY-BUS","severity":"Error","cluster":0,"slot":2,"copies":3,"units":1}"#,
+            r#"{"code":"V011-ZERO-II","severity":"Error"}"#,
+            r#"{"code":"V012-QUEUE-MAP","severity":"Error","expected_edges":7,"actual_edges":5}"#,
+        ];
+        let wire: Vec<String> =
+            every_violation().iter().map(|v| serde_json::to_string(v).unwrap()).collect();
+        assert_eq!(wire, expected);
+        let v = Violation::DepDistance {
+            src: OpId(3),
+            dst: OpId(7),
+            iteration: Some(2),
+            cycle: None,
+            ready_at: Some(u64::MAX),
+        };
+        assert_eq!(
+            serde_json::to_string_pretty(&v).unwrap(),
+            "{\n  \"code\": \"V001-DEP-DISTANCE\",\n  \"severity\": \"Error\",\n  \"src\": 3,\
+             \n  \"dst\": 7,\n  \"iteration\": 2,\n  \"cycle\": null,\
+             \n  \"ready_at\": 18446744073709551615\n}"
+        );
     }
 
     #[test]

@@ -12,6 +12,9 @@
 //!   not a verifier, and the same holds for the bounds the sweep prunes with.
 //! * every `#[allow(clippy::...)]` must carry a justification comment on the
 //!   same or the preceding line, so suppressions stay deliberate.
+//! * no encode path builds a `serde::Value`: `.serialize()` and
+//!   `serde_json::to_value` are denied outside test code, so every report,
+//!   frame and persisted entry streams through `Serialize::write_json`.
 //! * doc-sync, both ways: every stable code the verifier (`V001-…`) and the
 //!   pruned sweep driver (`B004-…`) define must have a row in README.md's code
 //!   tables, and every code a table row names must be defined by one of them.
@@ -110,6 +113,14 @@ fn check_file(rel: &str, text: &str, findings: &mut Vec<String>) {
             && (code.contains(".unwrap()") || code.contains(".expect("))
         {
             findings.push(format!("{rel}:{lineno}: unwrap()/expect() in non-test hot-path code"));
+        }
+        if !in_test_code
+            && !rel.contains("/tests/")
+            && (code.contains(".serialize()") || code.contains("to_value("))
+        {
+            findings.push(format!(
+                "{rel}:{lineno}: encodes through a `Value` tree; stream with `write_json`"
+            ));
         }
         if code.contains("#[allow(clippy::")
             && !line.contains("//")
@@ -298,6 +309,26 @@ mod tests {
         findings.clear();
         check_file("crates/sim/src/engine.rs", "x.unwrap_or(0);\n", &mut findings);
         assert!(findings.is_empty(), "unwrap_or is fine: {findings:?}");
+    }
+
+    #[test]
+    fn value_tree_encodes_are_flagged_only_in_non_test_code() {
+        let mut findings = Vec::new();
+        check_file(
+            "crates/core/src/protocol.rs",
+            "write_frame(w, &m.serialize())\n",
+            &mut findings,
+        );
+        check_file("crates/bench/src/lib.rs", "let v = serde_json::to_value(&r);\n", &mut findings);
+        assert_eq!(findings.len(), 2, "{findings:?}");
+        findings.clear();
+        check_file(
+            "crates/core/src/error.rs",
+            "fn f() {}\n#[cfg(test)]\nmod tests { fn g() { e.serialize(); } }\n",
+            &mut findings,
+        );
+        check_file("crates/serve/tests/e2e.rs", "serde_json::to_value(&7u32)\n", &mut findings);
+        assert!(findings.is_empty(), "tests may build values: {findings:?}");
     }
 
     #[test]

@@ -140,6 +140,7 @@ fn chrome_trace_export_is_valid_trace_event_json() {
         assert!(stat.count > 0);
         assert!(stat.p50_ns <= stat.p99_ns, "{stat:?}");
         assert!(stat.p99_ns <= stat.total_ns, "{stat:?}");
+        assert!(stat.self_ns <= stat.total_ns, "{stat:?}");
     }
 }
 
