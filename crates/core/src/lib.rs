@@ -68,7 +68,7 @@ pub use vliw_machine::{
 pub use vliw_partition::{partition_schedule, CommStats, PartitionOptions, PartitionResult};
 pub use vliw_qrf::{allocate_queues, insert_copies, q_compatible, use_lifetimes, QueueAllocation};
 pub use vliw_sched::{modulo_schedule, ImsOptions, ImsResult, SchedError, Schedule};
-pub use vliw_sim::{simulate, SimMeasurement, SimRun, SimViolation};
+pub use vliw_sim::{simulate, SimMeasurement, SimRun};
 pub use vliw_unroll::{ii_speedup, select_unroll_factor, unroll_ddg};
 // `vliw_verify::verify` itself stays behind the module path (`verify::verify`)
 // to avoid shadowing the module re-export above; the types come out flat.

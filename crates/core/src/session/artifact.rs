@@ -1,4 +1,4 @@
-//! Serializable per-loop artifacts: the closed metric set the drivers consume.
+//! Per-loop artifacts: the closed metric set the drivers consume.
 //!
 //! A full [`Compilation`] drags a [`vliw_ddg::Ddg`], a schedule and a queue
 //! allocation along — structures that exist to be *recomputed*, not shipped.
@@ -9,7 +9,8 @@
 //! over those numbers.  [`LoopSummary`] captures exactly that set, which makes
 //! it (a) serde-serializable for the persistent store and the wire, and
 //! (b) sufficient for a warm daemon to answer every figure request with zero
-//! cold compiles.
+//! cold compiles.  [`SimSummary`] is persisted the same way; [`VerifySummary`]
+//! only lives in the session's memo.
 //!
 //! Consumers that genuinely need the full artifact (the cross-check tests
 //! replaying a schedule through the simulator, the kernel benches) use the
@@ -21,7 +22,7 @@ use vliw_analysis::IpcReport;
 use vliw_machine::Machine;
 use vliw_partition::CommStats;
 use vliw_sim::{SimMeasurement, SimRun};
-use vliw_verify::{Verification, Violation};
+use vliw_verify::Verification;
 
 use crate::pipeline::Compilation;
 
@@ -132,7 +133,7 @@ impl Compilation {
 }
 
 /// The serializable summary of one simulation run: the full measurement plus
-/// the fault totals.  The recorded [`vliw_sim::SimViolation`] details stay on
+/// the fault totals.  The recorded [`vliw_verify::Violation`] details stay on
 /// the in-process [`SimRun`] (they are a debugging aid, not a metric); the
 /// summary keeps their count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -176,11 +177,11 @@ impl From<&SimRun> for SimSummary {
     }
 }
 
-/// The serializable summary of one static verification: the verdict counters,
-/// the steady-state maxima the sweep classifiers read, and the full violation
-/// list (the static checker reports each defect exactly once, so the list is
-/// bounded by the schedule's structure and cheap to keep).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// The summary of one static verification: the verdict counters and the
+/// steady-state maxima the sweep classifiers read.  The session memoises it
+/// in process per (sweep point, loop); unlike [`SimSummary`] it is neither
+/// persisted nor sent on the wire.
+#[derive(Debug, Clone, PartialEq)]
 pub struct VerifySummary {
     /// Violations indicting the schedule or allocation structure.
     pub schedule_faults: u64,
@@ -192,8 +193,6 @@ pub struct VerifySummary {
     pub max_comm_peak: usize,
     /// Steady-state copy-bus utilisation.
     pub copy_bus_utilisation: f64,
-    /// Every violation the verifier proved, in deterministic check order.
-    pub violations: Vec<Violation>,
 }
 
 impl VerifySummary {
@@ -222,7 +221,6 @@ impl From<&Verification> for VerifySummary {
             max_private_peak: v.max_private_peak(),
             max_comm_peak: v.max_comm_peak(),
             copy_bus_utilisation: v.copy_bus_utilisation,
-            violations: v.violations.clone(),
         }
     }
 }
@@ -301,7 +299,5 @@ mod tests {
         assert_eq!(s.max_private_peak, v.max_private_peak());
         assert_eq!(s.max_comm_peak, v.max_comm_peak());
         assert!(s.is_clean(), "paper machines verify clean");
-        let back = VerifySummary::deserialize(&s.serialize()).expect("round trip");
-        assert_eq!(back, s);
     }
 }

@@ -2,8 +2,10 @@
 //!
 //! This crate implements the software-pipelining substrate of the IPPS 1998 paper:
 //! Rau's **Iterative Modulo Scheduling** (IMS) on top of a modulo reservation table,
-//! plus the MII lower bounds (ResMII/RecMII), schedule validation, and the
-//! height-based priority function.  The placement loop itself lives in [`core`]: a
+//! plus the MII lower bounds (ResMII/RecMII), the height-based priority function,
+//! and the static schedule check ([`Schedule::violations`]).  Its defects, and
+//! every defect the simulator and the verifier find, are [`Violation`]s: one
+//! vocabulary of stable lint codes for the whole stack.  The placement loop itself lives in [`core`]: a
 //! shared engine (ready queue, window search, forced placement, eviction,
 //! dependence-violation unscheduling) parameterised by a [`ClusterPolicy`].  The
 //! clustered *partitioning* extension lives in the `vliw-partition` crate, which
@@ -27,6 +29,7 @@ pub mod mii;
 pub mod mrt;
 pub mod priority;
 pub mod schedule;
+pub mod violation;
 
 pub use core::{
     run_placement, run_placement_with, AnyClusterPolicy, ClusterPolicy, Eligibility,
@@ -36,7 +39,8 @@ pub use ims::{modulo_schedule, modulo_schedule_with, ImsOptions, ImsResult};
 pub use mii::{has_positive_cycle, mii, rec_mii, res_mii};
 pub use mrt::Mrt;
 pub use priority::{height_r, height_r_into, priority_order};
-pub use schedule::{Schedule, ScheduleViolation};
+pub use schedule::Schedule;
+pub use violation::Violation;
 
 use std::fmt;
 

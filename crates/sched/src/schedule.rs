@@ -1,9 +1,11 @@
 //! Modulo-schedule representation and validation.
 
-use std::fmt;
+use std::collections::hash_map::{Entry, HashMap};
 
 use vliw_ddg::{Ddg, OpId};
 use vliw_machine::{ClusterId, FuId, Machine};
+
+use crate::violation::Violation;
 
 /// A complete modulo schedule of one loop body on one machine.
 ///
@@ -83,111 +85,78 @@ impl Schedule {
         (self.stage_count() as u64 - 1 + trip_count) * self.ii as u64
     }
 
-    /// Checks that the schedule respects every dependence of `ddg` and never
-    /// oversubscribes a functional unit of `machine`.
-    pub fn validate(&self, ddg: &Ddg, machine: &Machine) -> Result<(), ScheduleViolation> {
-        if self.start.len() != ddg.num_ops() {
-            return Err(ScheduleViolation::WrongLength {
-                expected: ddg.num_ops(),
-                actual: self.start.len(),
-            });
+    /// Every violation of the static schedule rules, in check order: a length
+    /// mismatch or a zero II (either is the single entry, as nothing else is
+    /// well-defined then), then each dependence whose distance
+    /// `start(dst) + II·distance ≥ start(src) + latency` fails (per edge, in
+    /// id order), then per operation in id order a nonexistent unit, a unit
+    /// of the wrong class and a modulo-slot conflict on its unit.
+    ///
+    /// The verifier reports this list verbatim; [`Schedule::validate`] keeps
+    /// its first entry.
+    pub fn violations(&self, ddg: &Ddg, machine: &Machine) -> Vec<Violation> {
+        let n = ddg.num_ops();
+        if self.start.len() != n {
+            return vec![Violation::WrongLength { expected: n, actual: self.start.len() }];
         }
-        // Dependence constraints: start(dst) + II*distance >= start(src) + latency.
+        if self.ii == 0 {
+            return vec![Violation::ZeroIi];
+        }
+        let mut out = Vec::new();
+        let ii = i64::from(self.ii);
+        // i64 keeps a u32 start plus u32·u32 products far inside the window.
         for e in ddg.edges() {
-            let lhs = self.start[e.dst.index()] as i64 + self.ii as i64 * e.distance as i64;
-            let rhs = self.start[e.src.index()] as i64 + e.latency as i64;
+            let lhs = i64::from(self.start[e.dst.index()]) + ii * i64::from(e.distance);
+            let rhs = i64::from(self.start[e.src.index()]) + i64::from(e.latency);
             if lhs < rhs {
-                return Err(ScheduleViolation::DependenceViolated { src: e.src, dst: e.dst });
+                out.push(Violation::DepDistance {
+                    src: e.src,
+                    dst: e.dst,
+                    iteration: None,
+                    cycle: None,
+                    ready_at: None,
+                });
             }
         }
-        // Resource constraints: class match and no two ops share (fu, slot).
-        let mut used: std::collections::HashMap<(u32, FuId), OpId> =
-            std::collections::HashMap::new();
+        // The modulo reservation table: the first op to claim each
+        // (slot, unit) cell keeps it, every later claimant conflicts.
+        let mut mrt: HashMap<(u32, FuId), OpId> = HashMap::new();
         for op in ddg.ops() {
             let fu = self.fu[op.id.index()];
             if fu.index() >= machine.num_fus() {
-                return Err(ScheduleViolation::UnknownFu { op: op.id, fu });
+                out.push(Violation::UnknownFu { op: op.id, fu });
+                continue;
             }
             if machine.fu(fu).class != op.class() {
-                return Err(ScheduleViolation::WrongFuClass { op: op.id, fu });
+                out.push(Violation::WrongFuClass { op: op.id, fu });
             }
             let slot = self.start[op.id.index()] % self.ii;
-            if let Some(&other) = used.get(&(slot, fu)) {
-                return Err(ScheduleViolation::ResourceConflict { a: other, b: op.id, fu, slot });
+            match mrt.entry((slot, fu)) {
+                Entry::Occupied(first) => out.push(Violation::FuConflict {
+                    first: *first.get(),
+                    second: op.id,
+                    fu,
+                    slot: Some(slot),
+                    cycle: None,
+                }),
+                Entry::Vacant(cell) => {
+                    cell.insert(op.id);
+                }
             }
-            used.insert((slot, fu), op.id);
         }
-        Ok(())
+        out
     }
-}
 
-/// A violation detected by [`Schedule::validate`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScheduleViolation {
-    /// The schedule does not cover every operation of the graph.
-    WrongLength {
-        /// Number of operations in the graph.
-        expected: usize,
-        /// Number of operations in the schedule.
-        actual: usize,
-    },
-    /// A dependence edge is not honoured.
-    DependenceViolated {
-        /// Producer.
-        src: OpId,
-        /// Consumer.
-        dst: OpId,
-    },
-    /// Two operations occupy the same functional unit in the same modulo slot.
-    ResourceConflict {
-        /// First operation.
-        a: OpId,
-        /// Second operation.
-        b: OpId,
-        /// Shared functional unit.
-        fu: FuId,
-        /// Shared modulo slot.
-        slot: u32,
-    },
-    /// An operation is assigned to a functional unit of the wrong class.
-    WrongFuClass {
-        /// Operation.
-        op: OpId,
-        /// Assigned unit.
-        fu: FuId,
-    },
-    /// An operation is assigned to a functional unit that does not exist.
-    UnknownFu {
-        /// Operation.
-        op: OpId,
-        /// Assigned unit.
-        fu: FuId,
-    },
-}
-
-impl fmt::Display for ScheduleViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScheduleViolation::WrongLength { expected, actual } => {
-                write!(f, "schedule covers {actual} operations, graph has {expected}")
-            }
-            ScheduleViolation::DependenceViolated { src, dst } => {
-                write!(f, "dependence {src} -> {dst} violated")
-            }
-            ScheduleViolation::ResourceConflict { a, b, fu, slot } => {
-                write!(f, "operations {a} and {b} both use {fu} at modulo slot {slot}")
-            }
-            ScheduleViolation::WrongFuClass { op, fu } => {
-                write!(f, "operation {op} assigned to {fu} of the wrong class")
-            }
-            ScheduleViolation::UnknownFu { op, fu } => {
-                write!(f, "operation {op} assigned to nonexistent {fu}")
-            }
+    /// Checks that the schedule respects every dependence of `ddg` and never
+    /// oversubscribes a functional unit of `machine`, returning the first of
+    /// [`Schedule::violations`].
+    pub fn validate(&self, ddg: &Ddg, machine: &Machine) -> Result<(), Violation> {
+        match self.violations(ddg, machine).into_iter().next() {
+            Some(v) => Err(v),
+            None => Ok(()),
         }
     }
 }
-
-impl std::error::Error for ScheduleViolation {}
 
 #[cfg(test)]
 mod tests {
@@ -230,7 +199,13 @@ mod tests {
         let s = Schedule::new(2, vec![0, 1], vec![ls, add]);
         assert_eq!(
             s.validate(&g, &m),
-            Err(ScheduleViolation::DependenceViolated { src: OpId(0), dst: OpId(1) })
+            Err(Violation::DepDistance {
+                src: OpId(0),
+                dst: OpId(1),
+                iteration: None,
+                cycle: None,
+                ready_at: None
+            })
         );
     }
 
@@ -243,7 +218,10 @@ mod tests {
         let m = Machine::single_cluster(3, 1, 32, LatencyModel::default());
         let ls = m.fus_of_class(vliw_ddg::OpClass::Memory).next().unwrap().id;
         let s = Schedule::new(2, vec![0, 2], vec![ls, ls]);
-        assert!(matches!(s.validate(&g, &m), Err(ScheduleViolation::ResourceConflict { .. })));
+        assert!(matches!(
+            s.validate(&g, &m),
+            Err(Violation::FuConflict { first: OpId(0), second: OpId(1), slot: Some(0), .. })
+        ));
         // At different modulo slots the same unit is fine.
         let s = Schedule::new(2, vec![0, 1], vec![ls, ls]);
         assert!(s.validate(&g, &m).is_ok());
@@ -255,7 +233,7 @@ mod tests {
         let m = machine();
         let add = m.fus_of_class(vliw_ddg::OpClass::Adder).next().unwrap().id;
         let s = Schedule::new(2, vec![0, 2], vec![add, add]);
-        assert!(matches!(s.validate(&g, &m), Err(ScheduleViolation::WrongFuClass { .. })));
+        assert!(matches!(s.validate(&g, &m), Err(Violation::WrongFuClass { .. })));
     }
 
     #[test]
@@ -263,7 +241,7 @@ mod tests {
         let g = simple_graph();
         let m = machine();
         let s = Schedule::new(2, vec![0], vec![FuId(0)]);
-        assert!(matches!(s.validate(&g, &m), Err(ScheduleViolation::WrongLength { .. })));
+        assert_eq!(s.validate(&g, &m), Err(Violation::WrongLength { expected: 2, actual: 1 }));
     }
 
     #[test]
@@ -271,7 +249,7 @@ mod tests {
         let g = simple_graph();
         let m = machine();
         let s = Schedule::new(2, vec![0, 2], vec![FuId(95), FuId(96)]);
-        assert!(matches!(s.validate(&g, &m), Err(ScheduleViolation::UnknownFu { .. })));
+        assert!(matches!(s.validate(&g, &m), Err(Violation::UnknownFu { .. })));
     }
 
     #[test]
@@ -302,10 +280,48 @@ mod tests {
 
     #[test]
     fn violation_messages_are_informative() {
-        let v = ScheduleViolation::DependenceViolated { src: OpId(0), dst: OpId(1) };
-        assert!(v.to_string().contains("op0"));
-        let v =
-            ScheduleViolation::ResourceConflict { a: OpId(0), b: OpId(1), fu: FuId(2), slot: 3 };
-        assert!(v.to_string().contains("slot 3"));
+        let g = simple_graph();
+        let m = machine();
+        let ls = m.fus_of_class(vliw_ddg::OpClass::Memory).next().unwrap().id;
+        let add = m.fus_of_class(vliw_ddg::OpClass::Adder).next().unwrap().id;
+        let v = Schedule::new(2, vec![0, 1], vec![ls, add]).validate(&g, &m).unwrap_err();
+        assert_eq!(v.to_string(), "[V001-DEP-DISTANCE] dependence op0 -> op1 violated");
+        let v = Schedule::new(2, vec![0, 2], vec![add, add]).validate(&g, &m).unwrap_err();
+        assert!(v.to_string().contains("op0") && v.to_string().contains("wrong class"), "{v}");
+    }
+
+    #[test]
+    fn zero_ii_is_a_violation_not_a_panic() {
+        let g = simple_graph();
+        let m = machine();
+        let ls = m.fus_of_class(vliw_ddg::OpClass::Memory).next().unwrap().id;
+        let add = m.fus_of_class(vliw_ddg::OpClass::Adder).next().unwrap().id;
+        let s = Schedule { ii: 0, start: vec![0, 2], fu: vec![ls, add] };
+        assert_eq!(s.validate(&g, &m), Err(Violation::ZeroIi));
+        assert_eq!(s.violations(&g, &m), vec![Violation::ZeroIi]);
+    }
+
+    #[test]
+    fn violations_lists_every_defect_in_check_order() {
+        // Three adds on one adder at slot 0, the middle one also on the wrong
+        // class; the first add feeds the last one a cycle too early.
+        let mut b = DdgBuilder::new(LatencyModel::default());
+        let a0 = b.op(OpKind::Add);
+        b.op(OpKind::Add);
+        let a2 = b.op(OpKind::Add);
+        b.edge_with_latency(a0, a2, vliw_ddg::DepKind::Flow, 5, 0);
+        let g = b.finish();
+        let m = machine();
+        let ls = m.fus_of_class(vliw_ddg::OpClass::Memory).next().unwrap().id;
+        let add = m.fus_of_class(vliw_ddg::OpClass::Adder).next().unwrap().id;
+        let s = Schedule::new(2, vec![0, 2, 4], vec![add, ls, add]);
+        let codes: Vec<&str> = s.violations(&g, &m).iter().map(Violation::code).collect();
+        assert_eq!(codes, ["V001-DEP-DISTANCE", "V003-FU-CLASS", "V002-FU-CONFLICT"]);
+        // The conflict names the op that claimed the cell first.
+        assert!(matches!(
+            s.violations(&g, &m)[2],
+            Violation::FuConflict { first: OpId(0), second: OpId(2), slot: Some(0), .. }
+        ));
+        assert_eq!(s.validate(&g, &m), Err(s.violations(&g, &m)[0].clone()));
     }
 }

@@ -1,70 +1,11 @@
 //! The cycle-stepping simulation engine.
 
-use std::fmt;
-
 use vliw_ddg::{Ddg, DepKind, OpClass, OpId};
-use vliw_machine::{ClusterId, FuId, Machine};
-use vliw_sched::Schedule;
+use vliw_machine::{ClusterId, Machine};
+use vliw_sched::{Schedule, Violation};
 
 use crate::expand::{phase_of, sim_total_cycles, Phase};
 use crate::report::{SimMeasurement, SimRun, MAX_RECORDED_VIOLATIONS};
-use crate::violation::SimViolation;
-
-/// A structural problem that prevents the simulation from even starting.
-///
-/// These are distinct from [`SimViolation`]s: a violation is something the
-/// machine *observes while executing*; a setup error means the schedule does not
-/// describe an execution of this graph on this machine at all.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimSetupError {
-    /// The schedule does not cover every operation of the graph.
-    WrongLength {
-        /// Operations in the graph.
-        expected: usize,
-        /// Operations in the schedule.
-        actual: usize,
-    },
-    /// The schedule's initiation interval is zero.
-    ZeroIi,
-    /// An operation is assigned to a functional unit the machine does not have.
-    UnknownFu {
-        /// Operation.
-        op: OpId,
-        /// Assigned unit.
-        fu: FuId,
-    },
-    /// A queue map does not describe this graph: wrong number of entries for the
-    /// graph's value-carrying flow edges, or a queue id out of range.
-    BadQueueMap {
-        /// Value-carrying flow edges in the graph.
-        expected_edges: usize,
-        /// Entries in the map.
-        actual_edges: usize,
-    },
-}
-
-impl fmt::Display for SimSetupError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SimSetupError::WrongLength { expected, actual } => {
-                write!(f, "schedule covers {actual} operations, graph has {expected}")
-            }
-            SimSetupError::ZeroIi => write!(f, "cannot simulate a schedule with II = 0"),
-            SimSetupError::UnknownFu { op, fu } => {
-                write!(f, "{op} assigned to nonexistent {fu}")
-            }
-            SimSetupError::BadQueueMap { expected_edges, actual_edges } => {
-                write!(
-                    f,
-                    "queue map covers {actual_edges} flow edges, graph has {expected_edges} \
-                     (or a queue id is out of range)"
-                )
-            }
-        }
-    }
-}
-
-impl std::error::Error for SimSetupError {}
 
 /// Storage domain a queue-resident value instance lives in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,15 +65,15 @@ struct PredDep {
 /// Simulates `schedule` executing `trip_count` iterations of `ddg` on `machine`.
 ///
 /// Returns a [`SimRun`] holding the measurements and every runtime violation
-/// observed, or a [`SimSetupError`] when the schedule structurally cannot drive
-/// an execution (wrong length, II of zero, nonexistent FU).  A zero trip count
-/// or an empty graph simulates to an empty, clean run.
+/// observed, or `Err` with the [`Violation`] that keeps the schedule from
+/// driving an execution at all (wrong length, II of zero, nonexistent FU).  A
+/// zero trip count or an empty graph simulates to an empty, clean run.
 pub fn simulate(
     ddg: &Ddg,
     machine: &Machine,
     schedule: &Schedule,
     trip_count: u64,
-) -> Result<SimRun, SimSetupError> {
+) -> Result<SimRun, Violation> {
     simulate_inner(ddg, machine, schedule, trip_count, None)
 }
 
@@ -142,14 +83,16 @@ pub fn simulate(
 ///
 /// This is the dynamic side of the allocator-vs-simulator depth cross-check: at
 /// steady state the peak of each queue must equal the `queue_depths` entry the
-/// allocator derived for it from whole-wrap MaxLive counting.
+/// allocator derived for it from whole-wrap MaxLive counting.  A map that
+/// does not describe the graph's flow edges is refused with
+/// [`Violation::BadQueueMap`].
 pub fn simulate_with_queue_map(
     ddg: &Ddg,
     machine: &Machine,
     schedule: &Schedule,
     trip_count: u64,
     queue_map: &QueueMap,
-) -> Result<SimRun, SimSetupError> {
+) -> Result<SimRun, Violation> {
     simulate_inner(ddg, machine, schedule, trip_count, Some(queue_map))
 }
 
@@ -159,19 +102,19 @@ fn simulate_inner(
     schedule: &Schedule,
     trip_count: u64,
     queue_map: Option<&QueueMap>,
-) -> Result<SimRun, SimSetupError> {
+) -> Result<SimRun, Violation> {
     let _span = vliw_obs::span!("sim", trip_count);
     let n = ddg.num_ops();
     if schedule.start.len() != n {
-        return Err(SimSetupError::WrongLength { expected: n, actual: schedule.start.len() });
+        return Err(Violation::WrongLength { expected: n, actual: schedule.start.len() });
     }
     if schedule.ii == 0 {
-        return Err(SimSetupError::ZeroIi);
+        return Err(Violation::ZeroIi);
     }
     for op in ddg.ops() {
         let fu = schedule.fu_of(op.id);
         if fu.index() >= machine.num_fus() {
-            return Err(SimSetupError::UnknownFu { op: op.id, fu });
+            return Err(Violation::UnknownFu { op: op.id, fu });
         }
     }
     if let Some(map) = queue_map {
@@ -179,7 +122,7 @@ fn simulate_inner(
         let ids_in_range =
             map.queue_of.iter().flatten().all(|&q| (q as usize) < map.num_queues && q != NO_QUEUE);
         if map.queue_of.len() != flow_edges || !ids_in_range {
-            return Err(SimSetupError::BadQueueMap {
+            return Err(Violation::BadQueueMap {
                 expected_edges: flow_edges,
                 actual_edges: map.queue_of.len(),
             });
@@ -250,7 +193,7 @@ struct Engine<'a> {
     private_overflowed: Vec<bool>,
     link_overflowed: Vec<bool>,
     /// Violation accumulator.
-    violations: Vec<SimViolation>,
+    violations: Vec<Violation>,
     schedule_faults: u64,
     capacity_faults: u64,
 }
@@ -371,7 +314,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn record(&mut self, v: SimViolation) {
+    fn record(&mut self, v: Violation) {
         if v.is_schedule_fault() {
             self.schedule_faults += 1;
         } else {
@@ -393,12 +336,7 @@ impl<'a> Engine<'a> {
             let from = ClusterId(self.cluster_of[e.src.index()]);
             let to = ClusterId(self.cluster_of[e.dst.index()]);
             if !self.machine.clusters_communicate(from, to) {
-                unroutable.push(SimViolation::NonAdjacentCommunication {
-                    src: e.src,
-                    dst: e.dst,
-                    from,
-                    to,
-                });
+                unroutable.push(Violation::NonAdjacent { src: e.src, dst: e.dst, from, to });
             }
         }
         for v in unroutable {
@@ -406,7 +344,7 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn run(mut self) -> Result<SimRun, SimSetupError> {
+    fn run(mut self) -> Result<SimRun, Violation> {
         let n = self.ddg.num_ops();
         if n == 0 || self.trip_count == 0 {
             return Ok(self.finish(0, 0, 0, 0, 0));
@@ -453,14 +391,20 @@ impl<'a> Engine<'a> {
                 let fu = self.schedule.fu[i as usize];
                 let unit = self.machine.fu(fu);
                 if k == 0 && unit.class != self.ddg.op(op).class() {
-                    self.record(SimViolation::WrongFuClass { op, fu });
+                    self.record(Violation::WrongFuClass { op, fu });
                 }
                 if unit.class == OpClass::Copy {
                     copy_issued += 1;
                 }
                 if self.fu_cycle[fu.index()] == cycle {
                     let first = OpId(self.fu_op[fu.index()]);
-                    self.record(SimViolation::FuConflict { fu, cycle, first, second: op });
+                    self.record(Violation::FuConflict {
+                        first,
+                        second: op,
+                        fu,
+                        slot: None,
+                        cycle: Some(cycle),
+                    });
                 } else {
                     self.fu_cycle[fu.index()] = cycle;
                     self.fu_op[fu.index()] = i;
@@ -481,11 +425,11 @@ impl<'a> Engine<'a> {
                         None
                     };
                     if ready_at.is_none_or(|r| r > cycle) {
-                        self.record(SimViolation::OperandNotReady {
+                        self.record(Violation::DepDistance {
                             src: dep.src,
                             dst: OpId(i),
-                            iteration: k,
-                            cycle,
+                            iteration: Some(k),
+                            cycle: Some(cycle),
                             ready_at,
                         });
                     }
@@ -557,11 +501,11 @@ impl<'a> Engine<'a> {
             self.private_peak[c] = self.private_peak[c].max(occ);
             if occ > self.private_capacity[c] && !self.private_overflowed[c] {
                 self.private_overflowed[c] = true;
-                self.record(SimViolation::PrivateQueueOverflow {
+                self.record(Violation::PrivateOverflow {
                     cluster: ClusterId(c as u32),
-                    cycle,
                     occupancy: occ,
                     capacity: self.private_capacity[c],
+                    cycle: Some(cycle),
                 });
             }
         }
@@ -571,12 +515,12 @@ impl<'a> Engine<'a> {
             if occ > self.link_capacity && !self.link_overflowed[l] {
                 self.link_overflowed[l] = true;
                 let (from, to) = self.links[l];
-                self.record(SimViolation::CommQueueOverflow {
+                self.record(Violation::CommOverflow {
                     from,
                     to,
-                    cycle,
                     occupancy: occ,
                     capacity: self.link_capacity,
+                    cycle: Some(cycle),
                 });
             }
         }
@@ -624,7 +568,7 @@ impl<'a> Engine<'a> {
 mod tests {
     use super::*;
     use vliw_ddg::{kernels, DdgBuilder, LatencyModel, OpKind};
-    use vliw_machine::{ClusterConfig, Machine, RingConfig};
+    use vliw_machine::{ClusterConfig, FuId, Machine, RingConfig};
     use vliw_sched::{modulo_schedule, ImsOptions};
 
     fn simple_graph() -> Ddg {
@@ -679,7 +623,13 @@ mod tests {
         assert_eq!(run.schedule_faults, 5);
         assert!(matches!(
             run.violations[0],
-            SimViolation::OperandNotReady { src: OpId(0), dst: OpId(1), iteration: 0, .. }
+            Violation::DepDistance {
+                src: OpId(0),
+                dst: OpId(1),
+                iteration: Some(0),
+                cycle: Some(1),
+                ready_at: Some(2)
+            }
         ));
     }
 
@@ -694,7 +644,7 @@ mod tests {
         assert!(run
             .violations
             .iter()
-            .any(|v| matches!(v, SimViolation::OperandNotReady { ready_at: None, .. })));
+            .any(|v| matches!(v, Violation::DepDistance { ready_at: None, cycle: Some(_), .. })));
     }
 
     #[test]
@@ -708,7 +658,16 @@ mod tests {
         let s = Schedule::new(2, vec![0, 2], vec![ls, ls]);
         let run = simulate(&g, &m, &s, 4).unwrap();
         assert!(!run.is_clean());
-        assert!(matches!(run.violations[0], SimViolation::FuConflict { .. }));
+        assert!(matches!(
+            run.violations[0],
+            Violation::FuConflict {
+                first: OpId(0),
+                second: OpId(1),
+                slot: None,
+                cycle: Some(2),
+                ..
+            }
+        ));
         // At different modulo slots the same unit is fine.
         let s = Schedule::new(2, vec![0, 1], vec![ls, ls]);
         assert!(simulate(&g, &m, &s, 4).unwrap().is_clean());
@@ -721,27 +680,26 @@ mod tests {
         let add = fu_of(&m, OpClass::Adder, 0);
         let s = Schedule::new(2, vec![0, 2], vec![add, add]);
         let run = simulate(&g, &m, &s, 10).unwrap();
-        let class_faults = run
-            .violations
-            .iter()
-            .filter(|v| matches!(v, SimViolation::WrongFuClass { .. }))
-            .count();
+        let class_faults =
+            run.violations.iter().filter(|v| matches!(v, Violation::WrongFuClass { .. })).count();
         assert_eq!(class_faults, 1, "a static property is reported once, not per iteration");
     }
 
     #[test]
     fn setup_errors_are_not_violations() {
+        // Input that describes no execution is refused with `Err`, never
+        // recorded among a run's observations.
         let g = simple_graph();
         let m = machine();
         let s = Schedule::new(2, vec![0], vec![FuId(0)]);
+        assert_eq!(simulate(&g, &m, &s, 1), Err(Violation::WrongLength { expected: 2, actual: 1 }));
+        let s = Schedule::new(0, vec![0, 2], vec![FuId(0), FuId(1)]);
+        assert_eq!(simulate(&g, &m, &s, 1).map_err(|v| v.code()), Err("V011-ZERO-II"));
+        let s = Schedule::new(2, vec![0, 2], vec![FuId(95), FuId(96)]);
         assert_eq!(
             simulate(&g, &m, &s, 1),
-            Err(SimSetupError::WrongLength { expected: 2, actual: 1 })
+            Err(Violation::UnknownFu { op: OpId(0), fu: FuId(95) })
         );
-        let s = Schedule::new(0, vec![0, 2], vec![FuId(0), FuId(1)]);
-        assert_eq!(simulate(&g, &m, &s, 1), Err(SimSetupError::ZeroIi));
-        let s = Schedule::new(2, vec![0, 2], vec![FuId(95), FuId(96)]);
-        assert!(matches!(simulate(&g, &m, &s, 1), Err(SimSetupError::UnknownFu { .. })));
     }
 
     #[test]
@@ -786,7 +744,7 @@ mod tests {
         assert!(run
             .violations
             .iter()
-            .any(|v| matches!(v, SimViolation::PrivateQueueOverflow { .. })));
+            .any(|v| matches!(v, Violation::PrivateOverflow { cycle: Some(_), .. })));
         assert!(run.measurement.max_private_peak() > 1);
     }
 
@@ -799,11 +757,8 @@ mod tests {
         let add2 = m.fu_ids_of_class_in_cluster(ClusterId(2), OpClass::Adder)[0];
         let s = Schedule::new(2, vec![0, 2], vec![ls0, add2]);
         let run = simulate(&g, &m, &s, 20).unwrap();
-        let adjacency_faults = run
-            .violations
-            .iter()
-            .filter(|v| matches!(v, SimViolation::NonAdjacentCommunication { .. }))
-            .count();
+        let adjacency_faults =
+            run.violations.iter().filter(|v| matches!(v, Violation::NonAdjacent { .. })).count();
         assert_eq!(adjacency_faults, 1);
     }
 
@@ -837,7 +792,10 @@ mod tests {
         // holds one.
         let s = Schedule::new(2, vec![0, 6], vec![ls0, add1]);
         let run = simulate(&g, &m, &s, 10).unwrap();
-        assert!(run.violations.iter().any(|v| matches!(v, SimViolation::CommQueueOverflow { .. })));
+        assert!(run
+            .violations
+            .iter()
+            .any(|v| matches!(v, Violation::CommOverflow { cycle: Some(_), .. })));
     }
 
     #[test]
@@ -954,13 +912,13 @@ mod tests {
         let map = QueueMap { queue_of: vec![], num_queues: 0 };
         assert!(matches!(
             simulate_with_queue_map(&g, &m, &s, 5, &map),
-            Err(SimSetupError::BadQueueMap { expected_edges: 1, actual_edges: 0 })
+            Err(Violation::BadQueueMap { expected_edges: 1, actual_edges: 0 })
         ));
         // Right length, out-of-range id.
         let map = QueueMap { queue_of: vec![Some(3)], num_queues: 1 };
         assert!(matches!(
             simulate_with_queue_map(&g, &m, &s, 5, &map),
-            Err(SimSetupError::BadQueueMap { .. })
+            Err(Violation::BadQueueMap { .. })
         ));
         // Unmapped edges are allowed and leave the peak table untouched.
         let map = QueueMap { queue_of: vec![None], num_queues: 2 };

@@ -23,10 +23,11 @@
 //!
 //! The simulator is simultaneously a **dynamic verifier** — any runtime
 //! dependence violation, FU double-booking, class mismatch, queue overflow or
-//! non-adjacent value flow is reported as a structured [`SimViolation`] — and a
-//! **measurement engine** ([`SimMeasurement`]): exact total cycles, simulated
-//! dynamic IPC, per-phase issue counts, peak queue occupancy per cluster and per
-//! ring link, and copy-bus utilisation.
+//! non-adjacent value flow is recorded as a [`vliw_sched::Violation`] (the
+//! vocabulary the static check and the verifier share) carrying the cycle and
+//! iteration that caught it — and a **measurement engine** ([`SimMeasurement`]):
+//! exact total cycles, simulated dynamic IPC, per-phase issue counts, peak
+//! queue occupancy per cluster and per ring link, and copy-bus utilisation.
 //!
 //! ```
 //! use vliw_ddg::{kernels, LatencyModel};
@@ -45,9 +46,7 @@
 pub mod engine;
 pub mod expand;
 pub mod report;
-pub mod violation;
 
-pub use engine::{simulate, simulate_with_queue_map, QueueMap, SimSetupError};
+pub use engine::{simulate, simulate_with_queue_map, QueueMap};
 pub use expand::{issues_at, phase_of, sim_total_cycles, Phase};
 pub use report::{SimMeasurement, SimRun, MAX_RECORDED_VIOLATIONS};
-pub use violation::SimViolation;

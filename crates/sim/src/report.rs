@@ -1,10 +1,9 @@
 //! Measurements and the overall result of one simulation run.
 
 use serde::{Deserialize, Serialize};
+use vliw_sched::Violation;
 
-use crate::violation::SimViolation;
-
-/// Cap on the number of [`SimViolation`]s recorded in detail per run; the total
+/// Cap on the number of [`Violation`]s recorded in detail per run; the total
 /// count keeps accumulating past it.  A broken schedule violates the same
 /// dependence once per iteration, so an uncapped list would be thousands of
 /// copies of the same few defects.
@@ -68,9 +67,9 @@ pub struct SimRun {
     pub measurement: SimMeasurement,
     /// The first [`MAX_RECORDED_VIOLATIONS`] violations, in observation order
     /// (cycle, then issue order within the cycle).
-    pub violations: Vec<SimViolation>,
+    pub violations: Vec<Violation>,
     /// Total schedule faults observed (dependence, FU, class, adjacency — see
-    /// [`SimViolation::is_schedule_fault`]), including ones past the recording
+    /// [`Violation::is_schedule_fault`]), including ones past the recording
     /// cap.
     pub schedule_faults: u64,
     /// Total capacity faults observed (private-QRF or ring-queue overflow),

@@ -3,11 +3,10 @@
 //! [`verify`] proves, from (Ddg, Machine, Schedule) arithmetic alone, the full
 //! invariant set the simulator checks by executing `O(cycles · N)` steps:
 //!
-//! * **dependence distances** — `start(dst) + II·distance ≥ start(src) +
-//!   latency` per edge (i64, the same modulo-window arithmetic
-//!   `vliw_sched::Schedule::validate` uses);
-//! * **FU legality** — every operation on an existing unit of its class, no
-//!   two operations sharing an (FU, modulo-slot) MRT cell;
+//! * **the static schedule rules** — [`Schedule::violations`], reported
+//!   verbatim: dependence distances (`start(dst) + II·distance ≥ start(src) +
+//!   latency` per edge) and FU legality (every operation on an existing unit
+//!   of its class, no two operations sharing an (FU, modulo-slot) MRT cell);
 //! * **ring adjacency** — every value-carrying flow edge routes between
 //!   communicating clusters;
 //! * **steady-state storage** — per-pool peak occupancy via difference-array
@@ -29,13 +28,10 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
 use vliw_ddg::{Ddg, OpClass};
 use vliw_machine::{ClusterId, Machine};
 use vliw_qrf::{max_live_indexed, Lifetime, QueueAllocation};
-use vliw_sched::Schedule;
-
-use crate::violation::Violation;
+use vliw_sched::{Schedule, Violation};
 
 /// The directed ring links of `machine`, in the simulator's deterministic
 /// order: producing cluster ascending, successor neighbour before predecessor
@@ -63,7 +59,7 @@ pub fn link_table(machine: &Machine) -> Vec<(ClusterId, ClusterId)> {
 /// Mirrors [`vliw_sim::SimRun`]: the same fault counters, the same peak tables
 /// (here the *steady-state* watermark instead of an execution's observation),
 /// so callers can swap one for the other.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Verification {
     /// Every violation found, in deterministic check order (structural,
     /// dependence, FU, adjacency, copy bus, storage, queue depths).  The
@@ -175,8 +171,9 @@ pub fn queue_map_of(allocation: &QueueAllocation) -> vliw_sim::QueueMap {
 
 /// The dynamic counterpart of [`verify_with_allocation`]: simulates
 /// `trip_count` iterations with per-queue tracking and returns everything the
-/// run flagged as unified [`Violation`]s — recorded violations, per-queue
-/// peaks exceeding the allocation's declared depths, and setup refusals.
+/// run flagged — its recorded violations, then `V009-QUEUE-DEPTH` for every
+/// queue whose observed peak exceeds the allocation's declared depth — or the
+/// single violation the simulator refused the input with.
 ///
 /// This is the "other side" the differential harness compares the static
 /// verdict against.
@@ -188,10 +185,18 @@ pub fn dynamic_violations(
     trip_count: u64,
 ) -> Vec<Violation> {
     let map = queue_map_of(allocation);
-    match vliw_sim::simulate_with_queue_map(ddg, machine, schedule, trip_count, &map) {
-        Ok(run) => crate::violation::violations_of_run(&run, Some(&allocation.queue_depths)),
-        Err(e) => vec![Violation::from(e)],
+    let run = match vliw_sim::simulate_with_queue_map(ddg, machine, schedule, trip_count, &map) {
+        Ok(run) => run,
+        Err(v) => return vec![v],
+    };
+    let mut out = run.violations;
+    let peaks = run.measurement.peak_queue_occupancy.iter();
+    for (queue, (&required, &declared)) in peaks.zip(&allocation.queue_depths).enumerate() {
+        if required > declared {
+            out.push(Violation::QueueDepthMismatch { queue, required, declared });
+        }
     }
+    out
 }
 
 /// Statically verifies `schedule` against `ddg` on `machine`.
@@ -243,66 +248,19 @@ fn verify_inner(
     let _span = vliw_obs::span!("verify", ddg.num_ops());
     let mut out = Verification::empty();
 
-    // Structural gates: nothing else is well-defined if these fail, so bail
-    // out with the single structural verdict (the simulator refuses these
-    // inputs the same way, as a `SimSetupError`).
-    let n = ddg.num_ops();
-    if schedule.start.len() != n {
-        out.record(Violation::WrongLength { expected: n, actual: schedule.start.len() });
-        return out;
+    // The static schedule rules.  A wrong length or a zero II is their single
+    // entry, and nothing below is well-defined then (the simulator refuses
+    // such input outright).
+    for v in schedule.violations(ddg, machine) {
+        out.record(v);
     }
-    if schedule.ii == 0 {
-        out.record(Violation::ZeroIi);
+    if schedule.start.len() != ddg.num_ops() || schedule.ii == 0 {
         return out;
     }
     let ii = schedule.ii;
-
-    // Dependence distances, per edge in id order: the modulo constraint
-    // `start(dst) + II·distance ≥ start(src) + latency` over i64 (a u32
-    // start plus u32·u32 products stays far inside the i64 window).
-    for e in ddg.edges() {
-        let lhs = i64::from(schedule.start[e.dst.index()]) + i64::from(ii) * i64::from(e.distance);
-        let rhs = i64::from(schedule.start[e.src.index()]) + i64::from(e.latency);
-        if lhs < rhs {
-            out.record(Violation::DepDistance {
-                src: e.src,
-                dst: e.dst,
-                iteration: None,
-                cycle: None,
-                ready_at: None,
-            });
-        }
-    }
-
-    // FU legality and the modulo reservation table, per op in id order.
-    // Unlike `Schedule::validate` (first error only), every defect is
-    // reported.
-    let mut mrt: HashMap<(u32, u32), vliw_ddg::OpId> = HashMap::new();
-    let mut fu_known = vec![false; n];
-    for op in ddg.ops() {
-        let fu = schedule.fu[op.id.index()];
-        if fu.index() >= machine.num_fus() {
-            out.record(Violation::UnknownFu { op: op.id, fu });
-            continue;
-        }
-        fu_known[op.id.index()] = true;
-        if machine.fu(fu).class != op.class() {
-            out.record(Violation::WrongFuClass { op: op.id, fu });
-        }
-        let slot = schedule.start[op.id.index()] % ii;
-        match mrt.get(&(slot, fu.0)) {
-            Some(&first) => out.record(Violation::FuConflict {
-                first,
-                second: op.id,
-                fu,
-                slot: Some(slot),
-                cycle: None,
-            }),
-            None => {
-                mrt.insert((slot, fu.0), op.id);
-            }
-        }
-    }
+    // Ops on a nonexistent unit have no cluster; flows touching them are
+    // skipped below (their `V004-FU-UNKNOWN` is already recorded).
+    let fu_known = |i: usize| schedule.fu[i].index() < machine.num_fus();
 
     // Ring adjacency, once per value-carrying flow edge (the simulator's
     // `check_routability` pre-pass).
@@ -312,7 +270,7 @@ fn verify_inner(
         if !e.kind.carries_value() {
             continue;
         }
-        if !fu_known[e.src.index()] || !fu_known[e.dst.index()] {
+        if !fu_known(e.src.index()) || !fu_known(e.dst.index()) {
             continue;
         }
         let (from, to) = (cluster_of(e.src.index()), cluster_of(e.dst.index()));
@@ -326,7 +284,7 @@ fn verify_inner(
     let mut copies_at: HashMap<(u32, u32), usize> = HashMap::new();
     let mut total_copies = 0usize;
     for op in ddg.ops() {
-        if op.class() != OpClass::Copy || !fu_known[op.id.index()] {
+        if op.class() != OpClass::Copy || !fu_known(op.id.index()) {
             continue;
         }
         total_copies += 1;
@@ -375,7 +333,7 @@ fn verify_inner(
         }
         let idx = k;
         k += 1;
-        if !fu_known[e.src.index()] || !fu_known[e.dst.index()] {
+        if !fu_known(e.src.index()) || !fu_known(e.dst.index()) {
             continue;
         }
         let (from, to) = (cluster_of(e.src.index()), cluster_of(e.dst.index()));
@@ -602,19 +560,6 @@ mod tests {
         assert!(link_table(&single).is_empty());
         let two = Machine::paper_clustered(2, lat());
         assert_eq!(link_table(&two).len(), 2, "2 clusters: successor == predecessor");
-    }
-
-    #[test]
-    fn verification_round_trips_through_serde() {
-        let lp = kernels::dot_product(lat(), 100);
-        let machine = Machine::single_cluster(6, 2, 32, lat());
-        let r = modulo_schedule(&lp.ddg, &machine, ImsOptions::default()).unwrap();
-        let lts = use_lifetimes(&lp.ddg, &r.schedule);
-        let alloc = allocate_queues(&lts, r.schedule.ii);
-        let v = verify_with_allocation(&lp.ddg, &machine, &r.schedule, &alloc);
-        let json = serde_json::to_string_pretty(&v).unwrap();
-        let back: Verification = serde_json::from_str(&json).unwrap();
-        assert_eq!(back, v);
     }
 
     #[test]

@@ -11,12 +11,11 @@
 //!
 //! Three pieces:
 //!
-//! * [`Violation`] — the unified diagnostic taxonomy.  The schedule-time
-//!   checks of `vliw_sched::ScheduleViolation` and the run-time observations
-//!   of `vliw_sim::SimViolation` both convert into it, so static and dynamic
-//!   checkers speak one language of stable lint codes (`V001-DEP-DISTANCE`,
-//!   `V009-QUEUE-DEPTH`, ...) with severity and provenance, rendered as text
-//!   (`[CODE] message`) or JSON.
+//! * [`Violation`] — the stack's one defect vocabulary, defined next to the
+//!   schedule in `vliw-sched` and re-exported here: the static schedule check,
+//!   the simulator and this verifier all report stable lint codes
+//!   (`V001-DEP-DISTANCE`, `V009-QUEUE-DEPTH`, ...) with whatever provenance
+//!   they have, rendered as text (`[CODE] message`).
 //! * [`verify`] / [`verify_with_allocation`] — the flow-sensitive static
 //!   pass, returning a [`Verification`] that mirrors a `SimRun`: fault
 //!   counters, per-pool and per-queue peaks, copy-bus utilisation.
@@ -32,10 +31,9 @@
 
 pub mod check;
 pub mod mutate;
-pub mod violation;
 
 pub use check::{
     dynamic_violations, link_table, queue_map_of, verify, verify_with_allocation, Verification,
 };
 pub use mutate::{inject, Fault, Mutant, ALL_FAULTS};
-pub use violation::{violations_of_run, Severity, Violation};
+pub use vliw_sched::Violation;

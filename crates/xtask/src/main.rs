@@ -8,8 +8,10 @@
 //!   (`crates/core/src/session/executor.rs`, the work-stealing executor).
 //! * `.unwrap()` / `.expect(` are denied in the *non-test* code of the
 //!   verification-critical hot paths (`crates/verify`, `crates/sim`,
-//!   `crates/qrf`, `crates/bounds`) — a verifier that can panic mid-verdict is
-//!   not a verifier, and the same holds for the bounds the sweep prunes with.
+//!   `crates/qrf`, `crates/bounds`, and the files of other crates the
+//!   verifier and the simulator delegate to) — a verifier that can panic
+//!   mid-verdict is not a verifier, and the same holds for the bounds the
+//!   sweep prunes with.
 //! * every `#[allow(clippy::...)]` must carry a justification comment on the
 //!   same or the preceding line, so suppressions stay deliberate.
 //! * no encode path builds a `serde::Value`: `.serialize()` and
@@ -33,12 +35,17 @@ const UNSAFE_ALLOWLIST: &[&str] = &["crates/core/src/session/executor.rs"];
 /// Crates whose non-test code must be panic-free.
 const NO_PANIC_CRATES: &[&str] = &["crates/verify", "crates/sim", "crates/qrf", "crates/bounds"];
 
+/// Single files outside [`NO_PANIC_CRATES`] held to the same rule: the defect
+/// vocabulary and the static schedule check the verifier and the simulator
+/// share.  Their crates' other files (the schedulers) are not covered.
+const NO_PANIC_FILES: &[&str] = &["crates/sched/src/violation.rs", "crates/sched/src/schedule.rs"];
+
 /// Sources that define stable lint/pruning codes, and the code prefix each
 /// contributes.  Every code found here must have a row in README.md's code
 /// tables, and every code a row names must be found here (doc-sync: shipping
 /// an undocumented code, or documenting a code nothing emits, is a lint error).
 const CODE_SOURCES: &[(&str, char)] =
-    &[("crates/verify/src/violation.rs", 'V'), ("crates/core/src/experiments/pruned.rs", 'B')];
+    &[("crates/sched/src/violation.rs", 'V'), ("crates/core/src/experiments/pruned.rs", 'B')];
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -93,7 +100,8 @@ fn check_file(rel: &str, text: &str, findings: &mut Vec<String>) {
         return;
     }
     let unsafe_allowed = UNSAFE_ALLOWLIST.contains(&rel);
-    let panic_denied = NO_PANIC_CRATES.iter().any(|c| rel.starts_with(&format!("{c}/src/")));
+    let panic_denied = NO_PANIC_CRATES.iter().any(|c| rel.starts_with(&format!("{c}/src/")))
+        || NO_PANIC_FILES.contains(&rel);
     let mut in_test_code = false;
     let mut prev_line: &str = "";
     for (idx, line) in text.lines().enumerate() {
@@ -312,6 +320,18 @@ mod tests {
     }
 
     #[test]
+    fn unwrap_is_flagged_in_the_shared_check_files_only() {
+        let mut findings = Vec::new();
+        for file in NO_PANIC_FILES {
+            check_file(file, "x.expect(\"y\");\n", &mut findings);
+        }
+        assert_eq!(findings.len(), NO_PANIC_FILES.len(), "{findings:?}");
+        findings.clear();
+        check_file("crates/sched/src/core.rs", "x.expect(\"y\");\n", &mut findings);
+        assert!(findings.is_empty(), "the schedulers may expect: {findings:?}");
+    }
+
+    #[test]
     fn value_tree_encodes_are_flagged_only_in_non_test_code() {
         let mut findings = Vec::new();
         check_file(
@@ -369,10 +389,10 @@ mod tests {
     fn docsync_fixture(tag: &str, readme: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("xtask_{tag}_{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        fs::create_dir_all(dir.join("crates/verify/src")).unwrap();
+        fs::create_dir_all(dir.join("crates/sched/src")).unwrap();
         fs::create_dir_all(dir.join("crates/core/src/experiments")).unwrap();
         fs::write(
-            dir.join("crates/verify/src/violation.rs"),
+            dir.join("crates/sched/src/violation.rs"),
             "fn c() -> &'static str { \"V001-DEP-DISTANCE\" }\n",
         )
         .unwrap();
