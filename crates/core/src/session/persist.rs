@@ -41,7 +41,10 @@ use crate::session::key::CompilationKey;
 
 /// Version of the on-disk schema.  Bump on any change to [`LoopSummary`],
 /// [`SimSummary`], the digest recipe, or the numeric behaviour of the pipeline.
-pub const STORE_VERSION: u32 = 1;
+///
+/// 2: simulated torus and crossbar runs count values on non-ring links toward
+/// those links' peaks (they were left out of every pool).
+pub const STORE_VERSION: u32 = 2;
 
 /// FNV-1a, 64-bit: a tiny, dependency-free [`Hasher`] whose output is stable
 /// across processes and platforms — unlike [`std::collections::hash_map::DefaultHasher`],

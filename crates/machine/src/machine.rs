@@ -22,6 +22,11 @@ pub struct Machine {
     /// Every topology reuses the ring's per-link sizing (`ring`); the paper's
     /// machines are all [`Topology::Ring`].
     topology: Topology,
+    /// The interconnect's directed links, in [`Topology::links`] order.
+    links: Vec<(ClusterId, ClusterId)>,
+    /// `link_of[from · num_clusters + to]`: the position of `(from, to)` in
+    /// `links`, `None` when the pair has no direct link.
+    link_of: Vec<Option<u32>>,
     fus: Vec<Fu>,
     latencies: LatencyModel,
     /// Unit ids of each class machine-wide, ascending; indexed by [`OpClass::index`].
@@ -42,10 +47,10 @@ pub struct Machine {
     cluster_class_mask: Vec<u64>,
 }
 
-// Equality and hashing deliberately skip the index and mask tables: they are
-// pure functions of `fus`, and `Machine` is hashed on every compilation-session
-// key lookup — hashing the caches would triple the FuId traffic for zero added
-// discrimination.
+// Equality and hashing deliberately skip the index, mask and link tables: they
+// are pure functions of `fus`, `clusters` and `topology`, and `Machine` is
+// hashed on every compilation-session key lookup — hashing the caches would
+// triple the FuId traffic for zero added discrimination.
 impl PartialEq for Machine {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
@@ -108,11 +113,13 @@ impl Machine {
             class_mask[fu.class.index() * fu_mask_words + w] |= 1 << b;
             cluster_class_mask[cc * fu_mask_words + w] |= 1 << b;
         }
-        Machine {
+        let mut machine = Machine {
             name: name.into(),
             clusters,
             ring,
             topology: Topology::Ring,
+            links: Vec::new(),
+            link_of: Vec::new(),
             fus,
             latencies,
             class_index,
@@ -120,6 +127,23 @@ impl Machine {
             fu_mask_words,
             class_mask,
             cluster_class_mask,
+        };
+        machine.index_links();
+        machine
+    }
+
+    /// Rebuilds the link table and its index for the current topology.
+    fn index_links(&mut self) {
+        let n = self.clusters.len();
+        self.links = self
+            .topology
+            .links(n)
+            .into_iter()
+            .map(|(a, b)| (ClusterId(a as u32), ClusterId(b as u32)))
+            .collect();
+        self.link_of = vec![None; n * n];
+        for (l, &(from, to)) in self.links.iter().enumerate() {
+            self.link_of[from.index() * n + to.index()] = Some(l as u32);
         }
     }
 
@@ -175,6 +199,7 @@ impl Machine {
     /// width, which the design-space storage accounting charges for.
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
+        self.index_links();
         self
     }
 
@@ -330,6 +355,27 @@ impl Machine {
             return false;
         }
         self.topology.adjacent(producer_cluster.index(), consumer_cluster.index(), n)
+    }
+
+    /// The directed links of the interconnect: every ordered pair of distinct
+    /// clusters that [`Machine::clusters_communicate`] admits, in
+    /// [`Topology::links`] order (on the ring, `(c, c+1)` then `(c, c−1)` per
+    /// cluster).  Each is a storage pool of its own, sized by `ring`; the
+    /// simulator's and the verifier's per-link peaks are indexed by this
+    /// table.  Empty for a single-cluster machine.
+    pub fn links(&self) -> &[(ClusterId, ClusterId)] {
+        &self.links
+    }
+
+    /// The position of the directed link `from -> to` in [`Machine::links`],
+    /// or `None` when the clusters are the same, do not communicate directly,
+    /// or do not exist.
+    pub fn link_index(&self, from: ClusterId, to: ClusterId) -> Option<usize> {
+        let n = self.clusters.len();
+        if from.index() >= n || to.index() >= n {
+            return None;
+        }
+        self.link_of[from.index() * n + to.index()].map(|l| l as usize)
     }
 
     /// The ring distance (minimum number of hops) between two clusters.
@@ -562,6 +608,38 @@ mod tests {
         set.insert(ring);
         set.insert(xbar);
         assert_eq!(set.len(), 2);
+    }
+
+    #[test]
+    fn link_table_holds_every_communicating_pair_in_topology_order() {
+        use crate::topology::Topology;
+        let ring = RingConfig::paper_basic();
+        for n in 1..=64usize {
+            let clusters = vec![ClusterConfig::paper_basic(); n];
+            let base =
+                Machine::new("links", clusters, (n > 1).then_some(ring), LatencyModel::default());
+            for t in Topology::ALL {
+                let m = base.clone().with_topology(t);
+                assert_eq!(m.links().len(), t.directed_links(n), "{t} n={n}");
+                let order: Vec<(usize, usize)> =
+                    m.links().iter().map(|&(a, b)| (a.index(), b.index())).collect();
+                assert_eq!(order, t.links(n), "{t} n={n}");
+                for a in m.cluster_ids() {
+                    for b in m.cluster_ids() {
+                        let l = m.link_index(a, b);
+                        assert_eq!(l.is_some(), a != b && m.clusters_communicate(a, b));
+                        if let Some(l) = l {
+                            assert_eq!(m.links()[l], (a, b), "{t} n={n}");
+                        }
+                    }
+                }
+            }
+        }
+        let four = Machine::paper_clustered(4, LatencyModel::default());
+        assert_eq!(four.links()[..2], [(ClusterId(0), ClusterId(1)), (ClusterId(0), ClusterId(3))]);
+        assert_eq!(four.link_index(ClusterId(0), ClusterId(2)), None);
+        assert_eq!(four.link_index(ClusterId(0), ClusterId(9)), None);
+        assert!(Machine::paper_single(6).links().is_empty());
     }
 
     #[test]

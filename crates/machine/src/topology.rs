@@ -4,10 +4,12 @@
 //! (Fig. 5b); Section 4 notes the ring is a *choice*, not a consequence of the
 //! queue model — any interconnect whose adjacency relation the partitioner can
 //! consult would do, because the partitioning algorithm only ever asks "may a
-//! value flow directly from cluster A to cluster B?".  This module is that
-//! adjacency abstraction: a [`Topology`] answers the question for the
-//! bidirectional ring, a 2-D torus and a full crossbar, which opens the
-//! topology axis of the `figures sweep --grid huge` design space.
+//! value flow directly from cluster A to cluster B?".  This module answers
+//! that question for the bidirectional ring, a 2-D torus and a full crossbar,
+//! which opens the topology axis of the `figures sweep --grid huge` design
+//! space.  It also supplies the links themselves: [`Topology::links`]
+//! enumerates the directed links a value occupies on its way, in the order
+//! the simulator and the verifier index their per-link peaks by.
 //!
 //! Every topology reuses the ring's link sizing (`queues_per_direction` ×
 //! `queue_capacity` per directed link): richer topologies buy reachability by
@@ -17,8 +19,10 @@
 /// The inter-cluster interconnect of a clustered machine.
 ///
 /// Adjacency is what the partitioner, the simulator and the verifier consult
-/// (all through [`crate::Machine::clusters_communicate`]); the number of
-/// directed links is what the sweep's storage accounting charges for.
+/// (all through [`crate::Machine::clusters_communicate`]); the directed links
+/// ([`crate::Machine::links`]) are the storage pools a cross-cluster value
+/// occupies, and their number is what the sweep's storage accounting charges
+/// for.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Topology {
     /// The paper's bidirectional ring: each cluster talks to its two
@@ -93,6 +97,28 @@ impl Topology {
             }
             Topology::Crossbar => n * n.saturating_sub(1),
         }
+    }
+
+    /// The directed links of an `n`-cluster machine of this topology: every
+    /// ordered adjacent pair `(from, to)`, `from` ascending and, per `from`,
+    /// the neighbours nearest around the ring first, the successor before the
+    /// predecessor.  On the ring that is `(c, c+1)` then `(c, c−1)` per
+    /// cluster, the order persisted per-link peaks are indexed by.  Its length
+    /// is [`Topology::directed_links`].
+    pub fn links(self, n: usize) -> Vec<(usize, usize)> {
+        let mut links = Vec::with_capacity(self.directed_links(n));
+        for from in 0..n {
+            for d in 1..=n / 2 {
+                let (next, prev) = ((from + d) % n, (from + n - d) % n);
+                if self.adjacent(from, next, n) {
+                    links.push((from, next));
+                }
+                if prev != next && self.adjacent(from, prev, n) {
+                    links.push((from, prev));
+                }
+            }
+        }
+        links
     }
 
     /// [`Topology::directed_links`] by definition: the ordered adjacent pairs,
@@ -258,6 +284,41 @@ mod tests {
                 assert_eq!(t.directed_links(n), t.directed_links_by_enumeration(n), "{t} n={n}");
             }
         }
+    }
+
+    #[test]
+    fn links_enumerate_every_adjacent_pair_once() {
+        for t in Topology::ALL {
+            for n in 0..=64usize {
+                let links = t.links(n);
+                assert_eq!(links.len(), t.directed_links(n), "{t} n={n}");
+                let mut sorted = links.clone();
+                sorted.sort_unstable();
+                sorted.dedup();
+                assert_eq!(sorted.len(), links.len(), "{t} n={n}: a link listed twice");
+                assert!(links.iter().all(|&(a, b)| a != b && t.adjacent(a, b, n)), "{t} n={n}");
+            }
+        }
+    }
+
+    #[test]
+    fn ring_links_keep_the_successor_then_predecessor_order() {
+        for n in 0..=64usize {
+            let mut expected = Vec::new();
+            for c in 0..n {
+                let (next, prev) = ((c + 1) % n, (c + n - 1) % n);
+                if next != c {
+                    expected.push((c, next));
+                }
+                if prev != next {
+                    expected.push((c, prev));
+                }
+            }
+            assert_eq!(Topology::Ring.links(n), expected, "n={n}");
+        }
+        // The 2×2 torus: cluster 0 reaches 1 (its row) and 2 (its column).
+        assert_eq!(Topology::Torus.links(4)[..2], [(0, 1), (0, 2)]);
+        assert_eq!(Topology::Crossbar.links(4)[..3], [(0, 1), (0, 3), (0, 2)]);
     }
 
     #[test]

@@ -12,7 +12,7 @@ use crate::report::{SimMeasurement, SimRun, MAX_RECORDED_VIOLATIONS};
 enum Domain {
     /// The private QRF of one cluster.
     Private(u32),
-    /// A directed communication link of the ring (index into the link table).
+    /// A directed interconnect link (index into [`Machine::links`]).
     Link(u32),
     /// No physical path exists (non-adjacent clusters); nothing to account.
     Unroutable,
@@ -131,25 +131,6 @@ fn simulate_inner(
     Engine::new(ddg, machine, schedule, trip_count, queue_map).run()
 }
 
-/// The directed ring links of `machine`, in deterministic order (producing
-/// cluster ascending, successor neighbour before predecessor neighbour).
-fn link_table(machine: &Machine) -> Vec<(ClusterId, ClusterId)> {
-    let n = machine.num_clusters();
-    if n <= 1 {
-        return Vec::new();
-    }
-    let mut links = Vec::with_capacity(n * 2);
-    for c in 0..n {
-        let next = (c + 1) % n;
-        let prev = (c + n - 1) % n;
-        links.push((ClusterId(c as u32), ClusterId(next as u32)));
-        if prev != next {
-            links.push((ClusterId(c as u32), ClusterId(prev as u32)));
-        }
-    }
-    links
-}
-
 struct Engine<'a> {
     ddg: &'a Ddg,
     machine: &'a Machine,
@@ -169,8 +150,6 @@ struct Engine<'a> {
     flow_in: Vec<Vec<FlowUse>>,
     /// Outgoing flow uses per operation (enqueued at the producer's write).
     flow_out: Vec<Vec<FlowUse>>,
-    /// Directed ring links, `(from, to)`.
-    links: Vec<(ClusterId, ClusterId)>,
     /// Issue record ring buffer: stamp (`iteration + 1`, 0 = empty) and cycle
     /// per (iteration mod window, op).
     window: usize,
@@ -208,13 +187,6 @@ impl<'a> Engine<'a> {
     ) -> Self {
         let n = ddg.num_ops();
         let ii = u64::from(schedule.ii);
-        let links = link_table(machine);
-        let link_index = |from: ClusterId, to: ClusterId| -> Domain {
-            match links.iter().position(|&l| l == (from, to)) {
-                Some(i) => Domain::Link(i as u32),
-                None => Domain::Unroutable,
-            }
-        };
 
         let starts: Vec<u64> = schedule.start.iter().map(|&s| u64::from(s)).collect();
         let mut slot_ops = vec![Vec::new(); schedule.ii as usize];
@@ -251,7 +223,11 @@ impl<'a> Engine<'a> {
             flow_idx += 1;
             let from = ClusterId(cluster_of[e.src.index()]);
             let to = ClusterId(cluster_of[e.dst.index()]);
-            let domain = if from == to { Domain::Private(from.0) } else { link_index(from, to) };
+            let domain = if from == to {
+                Domain::Private(from.0)
+            } else {
+                machine.link_index(from, to).map_or(Domain::Unroutable, |l| Domain::Link(l as u32))
+            };
             flow_in[e.dst.index()].push(FlowUse {
                 other_start: starts[e.src.index()],
                 distance: dist,
@@ -292,12 +268,11 @@ impl<'a> Engine<'a> {
             preds,
             flow_in,
             flow_out,
-            link_peak: vec![0; links.len()],
-            link_occ: vec![0; links.len()],
-            link_overflowed: vec![false; links.len()],
+            link_peak: vec![0; machine.links().len()],
+            link_occ: vec![0; machine.links().len()],
+            link_overflowed: vec![false; machine.links().len()],
             queue_occ: vec![0; queue_map.map_or(0, |m| m.num_queues)],
             queue_peak: vec![0; queue_map.map_or(0, |m| m.num_queues)],
-            links,
             window,
             rec_stamp: vec![0; window * n.max(1)],
             rec_cycle: vec![0; window * n.max(1)],
@@ -514,7 +489,7 @@ impl<'a> Engine<'a> {
             self.link_peak[l] = self.link_peak[l].max(occ);
             if occ > self.link_capacity && !self.link_overflowed[l] {
                 self.link_overflowed[l] = true;
-                let (from, to) = self.links[l];
+                let (from, to) = self.machine.links()[l];
                 self.record(Violation::CommOverflow {
                     from,
                     to,

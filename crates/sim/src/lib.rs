@@ -13,10 +13,12 @@
 //!   producing instance's result is `latency` cycles old, checked against the
 //!   *observed* issue record, not the schedule's promise;
 //! * **queue register file occupancy** — every value use is enqueued in its
-//!   producer cluster's QRF (or, for cross-cluster flows, in the ring link's
-//!   communication queues) at the producer's issue cycle and destructively
-//!   dequeued at its consumer's read, with occupancy capacity-checked against the
-//!   [`vliw_machine::ClusterConfig`] / [`vliw_machine::RingConfig`] budgets;
+//!   producer cluster's QRF (or, for cross-cluster flows, in the communication
+//!   queues of its directed link, one pool per entry of
+//!   [`vliw_machine::Machine::links`]) at the producer's issue cycle and
+//!   destructively dequeued at its consumer's read, with occupancy
+//!   capacity-checked against the [`vliw_machine::ClusterConfig`] /
+//!   [`vliw_machine::RingConfig`] budgets;
 //! * **explicit ring copy traffic** — the copy operations inserted by
 //!   `vliw_qrf::copyins` execute on the dedicated copy units and their bus
 //!   utilisation is measured.

@@ -32,9 +32,9 @@ pub struct SimMeasurement {
     /// Peak number of values simultaneously resident in each cluster's private
     /// QRF, indexed by cluster.
     pub peak_private_occupancy: Vec<usize>,
-    /// Peak number of values simultaneously resident on each directed ring
-    /// link, indexed like the engine's link table (empty for single-cluster
-    /// machines).
+    /// Peak number of values simultaneously resident on each directed
+    /// interconnect link, indexed by `Machine::links` (empty for
+    /// single-cluster machines).
     pub peak_comm_occupancy: Vec<usize>,
     /// Peak number of values simultaneously resident in each *physical* queue,
     /// indexed by the queue ids of the [`crate::engine::QueueMap`] the run was

@@ -7,12 +7,13 @@
 //!   verbatim: dependence distances (`start(dst) + II·distance ≥ start(src) +
 //!   latency` per edge) and FU legality (every operation on an existing unit
 //!   of its class, no two operations sharing an (FU, modulo-slot) MRT cell);
-//! * **ring adjacency** — every value-carrying flow edge routes between
+//! * **adjacency** — every value-carrying flow edge routes between
 //!   communicating clusters;
 //! * **steady-state storage** — per-pool peak occupancy via difference-array
 //!   lifetime counting (`vliw_qrf::max_live`), partitioned into each cluster's
-//!   private QRF and each directed ring link exactly as the simulator's
-//!   domain model does, then compared against the machine's capacity budgets;
+//!   private QRF and each directed link of [`Machine::links`] exactly as the
+//!   simulator's domain model does, then compared against the machine's
+//!   capacity budgets;
 //! * **per-queue depths** — [`verify_with_allocation`] recounts every queue of
 //!   a [`QueueAllocation`] and flags declared depths the lifetimes exceed;
 //! * **copy-bus bounds** — copy operations per (cluster, modulo slot) against
@@ -32,27 +33,6 @@ use vliw_ddg::{Ddg, OpClass};
 use vliw_machine::{ClusterId, Machine};
 use vliw_qrf::{max_live_indexed, Lifetime, QueueAllocation};
 use vliw_sched::{Schedule, Violation};
-
-/// The directed ring links of `machine`, in the simulator's deterministic
-/// order: producing cluster ascending, successor neighbour before predecessor
-/// neighbour.  [`Verification::peak_comm_occupancy`] is indexed by this table,
-/// exactly like `SimMeasurement::peak_comm_occupancy`.
-pub fn link_table(machine: &Machine) -> Vec<(ClusterId, ClusterId)> {
-    let n = machine.num_clusters();
-    if n <= 1 {
-        return Vec::new();
-    }
-    let mut links = Vec::with_capacity(n * 2);
-    for c in 0..n {
-        let next = (c + 1) % n;
-        let prev = (c + n - 1) % n;
-        links.push((ClusterId(c as u32), ClusterId(next as u32)));
-        if prev != next {
-            links.push((ClusterId(c as u32), ClusterId(prev as u32)));
-        }
-    }
-    links
-}
 
 /// What the static verifier proved about one schedule.
 ///
@@ -74,8 +54,8 @@ pub struct Verification {
     /// Steady-state peak occupancy of each cluster's private QRF, indexed by
     /// cluster.
     pub peak_private_occupancy: Vec<usize>,
-    /// Steady-state peak occupancy of each directed ring link, indexed by
-    /// [`link_table`] order (empty for single-cluster machines).
+    /// Steady-state peak occupancy of each directed interconnect link, indexed
+    /// by [`Machine::links`] (empty for single-cluster machines).
     pub peak_comm_occupancy: Vec<usize>,
     /// Static per-queue depth recount, indexed like the allocation's queues
     /// (empty when no allocation was supplied).
@@ -262,9 +242,8 @@ fn verify_inner(
     // skipped below (their `V004-FU-UNKNOWN` is already recorded).
     let fu_known = |i: usize| schedule.fu[i].index() < machine.num_fus();
 
-    // Ring adjacency, once per value-carrying flow edge (the simulator's
+    // Adjacency, once per value-carrying flow edge (the simulator's
     // `check_routability` pre-pass).
-    let links = link_table(machine);
     let cluster_of = |i: usize| machine.fu(schedule.fu[i]).cluster;
     for e in ddg.edges() {
         if !e.kind.carries_value() {
@@ -319,13 +298,14 @@ fn verify_inner(
     // Steady-state storage: one per-use lifetime per value-carrying flow edge
     // (in `ddg.edges()` order, the `vliw_qrf::use_lifetimes` contract),
     // partitioned into the simulator's domains — the producer cluster's
-    // private QRF for local flows, the directed ring link for adjacent
-    // cross-cluster flows — then MaxLive-counted per pool.  Unroutable flows
-    // are excluded, as nothing well-defined occupies storage for them.
+    // private QRF for local flows, the directed link for cross-cluster flows
+    // between communicating clusters — then MaxLive-counted per pool.
+    // Unroutable flows are excluded, as nothing well-defined occupies storage
+    // for them.
     let lifetimes = clamped_use_lifetimes(ddg, schedule);
     let num_clusters = machine.num_clusters();
     let mut private_members: Vec<Vec<u32>> = vec![Vec::new(); num_clusters];
-    let mut link_members: Vec<Vec<u32>> = vec![Vec::new(); links.len()];
+    let mut link_members: Vec<Vec<u32>> = vec![Vec::new(); machine.links().len()];
     let mut k = 0u32;
     for e in ddg.edges() {
         if !e.kind.carries_value() {
@@ -339,7 +319,7 @@ fn verify_inner(
         let (from, to) = (cluster_of(e.src.index()), cluster_of(e.dst.index()));
         if from == to {
             private_members[from.index()].push(idx);
-        } else if let Some(l) = links.iter().position(|&pair| pair == (from, to)) {
+        } else if let Some(l) = machine.link_index(from, to) {
             link_members[l].push(idx);
         }
     }
@@ -371,7 +351,7 @@ fn verify_inner(
         machine.ring().map(|r| r.queues_per_direction * r.queue_capacity).unwrap_or(0);
     for (l, &peak) in out.peak_comm_occupancy.iter().enumerate() {
         if peak > link_capacity {
-            let (from, to) = links[l];
+            let (from, to) = machine.links()[l];
             out.violations.push(Violation::CommOverflow {
                 from,
                 to,
@@ -418,6 +398,7 @@ fn verify_inner(
 mod tests {
     use super::*;
     use vliw_ddg::{kernels, DdgBuilder, LatencyModel, OpKind};
+    use vliw_machine::{ClusterConfig, RingConfig, Topology};
     use vliw_qrf::{allocate_queues, insert_copies, use_lifetimes};
     use vliw_sched::{modulo_schedule, ImsOptions};
     use vliw_sim::simulate;
@@ -549,17 +530,73 @@ mod tests {
         }
     }
 
+    /// `ld -> add` with the load on cluster `from` and the add on cluster
+    /// `to`, at starts `[0, add_start]`, II 2.
+    fn cross_cluster_pair(
+        machine: &Machine,
+        from: u32,
+        to: u32,
+        add_start: u32,
+    ) -> (Ddg, Schedule, QueueAllocation) {
+        let mut b = DdgBuilder::new(lat());
+        let ld = b.op(OpKind::Load);
+        let add = b.op(OpKind::Add);
+        b.flow(ld, add);
+        let g = b.finish();
+        let ls = machine.fu_ids_of_class_in_cluster(ClusterId(from), OpClass::Memory)[0];
+        let adder = machine.fu_ids_of_class_in_cluster(ClusterId(to), OpClass::Adder)[0];
+        let s = Schedule::new(2, vec![0, add_start], vec![ls, adder]);
+        let alloc = allocate_queues(&use_lifetimes(&g, &s), s.ii);
+        (g, s, alloc)
+    }
+
     #[test]
     fn link_table_matches_ring_topology() {
+        // Comm peaks are indexed by `Machine::links`: on the 4-cluster ring,
+        // (0, 1) then (0, 3) lead, so a value crossing 0 -> 3 lands at index 1.
         let four = Machine::paper_clustered(4, lat());
-        let links = link_table(&four);
-        assert_eq!(links.len(), 8, "4 clusters, 2 directed links each");
-        assert_eq!(links[0], (ClusterId(0), ClusterId(1)));
-        assert_eq!(links[1], (ClusterId(0), ClusterId(3)));
+        let (g, s, _) = cross_cluster_pair(&four, 0, 3, 2);
+        let v = verify(&g, &four, &s);
+        assert!(v.is_clean(), "{}", v.render_text());
+        assert_eq!(v.peak_comm_occupancy, [0, 1, 0, 0, 0, 0, 0, 0]);
+        assert_eq!(four.links()[1], (ClusterId(0), ClusterId(3)));
         let single = Machine::single_cluster(6, 2, 32, lat());
-        assert!(link_table(&single).is_empty());
+        let (g, s, _) = cross_cluster_pair(&single, 0, 0, 2);
+        assert!(verify(&g, &single, &s).peak_comm_occupancy.is_empty());
         let two = Machine::paper_clustered(2, lat());
-        assert_eq!(link_table(&two).len(), 2, "2 clusters: successor == predecessor");
+        let (g, s, _) = cross_cluster_pair(&two, 0, 1, 2);
+        assert_eq!(verify(&g, &two, &s).peak_comm_occupancy, [1, 0], "successor == predecessor");
+    }
+
+    #[test]
+    fn a_value_over_a_non_ring_link_fills_that_links_budget() {
+        // A 4-cluster crossbar whose links hold one value each: the 0 -> 2
+        // diagonal is no ring link, yet the value crossing it occupies it.
+        // Its lifetime [0, 6) overlaps itself three times at II 2.
+        let ring = RingConfig { queues_per_direction: 1, queue_capacity: 1 };
+        for topology in [Topology::Crossbar, Topology::Torus] {
+            let clusters = vec![ClusterConfig::paper_basic(); 4];
+            let m = Machine::new("tight", clusters, Some(ring), lat()).with_topology(topology);
+            let (g, s, alloc) = cross_cluster_pair(&m, 0, 2, 6);
+            let v = verify_with_allocation(&g, &m, &s, &alloc);
+            assert_eq!(
+                v.violations,
+                [Violation::CommOverflow {
+                    from: ClusterId(0),
+                    to: ClusterId(2),
+                    occupancy: 3,
+                    capacity: 1,
+                    cycle: None
+                }],
+                "{topology}: {}",
+                v.render_text()
+            );
+            let dynamic = dynamic_violations(&g, &m, &s, &alloc, 1000);
+            let codes: Vec<&str> = dynamic.iter().map(Violation::code).collect();
+            assert_eq!(codes, ["V007-COMM-OVERFLOW"], "{topology}: {dynamic:?}");
+            let run = simulate(&g, &m, &s, 1000).unwrap();
+            assert_eq!(v.peak_comm_occupancy, run.measurement.peak_comm_occupancy, "{topology}");
+        }
     }
 
     #[test]

@@ -32,8 +32,6 @@
 pub mod check;
 pub mod mutate;
 
-pub use check::{
-    dynamic_violations, link_table, queue_map_of, verify, verify_with_allocation, Verification,
-};
+pub use check::{dynamic_violations, queue_map_of, verify, verify_with_allocation, Verification};
 pub use mutate::{inject, Fault, Mutant, ALL_FAULTS};
 pub use vliw_sched::Violation;

@@ -7,9 +7,11 @@
 //!
 //! * **clean side** — property test: random `loopgen` loops driven through
 //!   both schedulers (plain IMS on a single-cluster machine, the partitioner
-//!   on a clustered one) must receive the *same verdict* from both checkers
-//!   at a steady-state trip count — identical violation-code sets, so
-//!   verifier-clean ⟺ simulator-clean;
+//!   on clustered ones: the paper's ring, and a torus and a crossbar whose
+//!   values also cross non-ring links) must receive the *same verdict* from
+//!   both checkers at a steady-state trip count — identical violation-code
+//!   sets, so verifier-clean ⟺ simulator-clean — and the same per-link
+//!   storage peaks;
 //! * **dirty side** — fault injection: every fault class of
 //!   `vliw_verify::ALL_FAULTS`, planted into every clean compilation of the
 //!   golden 32-loop corpus on both machine shapes, must be flagged by **both**
@@ -27,7 +29,10 @@ use rand::SeedableRng;
 use vliw_repro::vliw_core::loopgen::generator::generate_loop;
 use vliw_repro::vliw_core::loopgen::CorpusConfig;
 use vliw_repro::vliw_core::verify::{dynamic_violations, inject, verify_with_allocation, Mutant};
-use vliw_repro::vliw_core::{Compiler, CompilerConfig, LatencyModel, Machine, Session, ALL_FAULTS};
+use vliw_repro::vliw_core::{
+    simulate, Compiler, CompilerConfig, FuMix, LatencyModel, Machine, MachineConfig, Session,
+    Topology, ALL_FAULTS,
+};
 
 /// Long enough for every corpus schedule to reach steady state, where the
 /// static peaks are exact — the same trip count the experiment drivers use.
@@ -39,17 +44,38 @@ fn machines() -> Vec<Machine> {
     vec![Machine::paper_single(6), Machine::paper_clustered(4, LatencyModel::default())]
 }
 
+/// The 4-cluster sweep probe machines of the two richer topologies: on the
+/// 2×2 torus and the crossbar, cluster 0 also talks to cluster 2, which is no
+/// ring link.
+fn off_ring_probe_machines() -> Vec<Machine> {
+    [Topology::Torus, Topology::Crossbar]
+        .into_iter()
+        .map(|topology| {
+            MachineConfig {
+                clusters: 4,
+                queues_per_cluster: 8,
+                queue_capacity: 8,
+                link_depth: 8,
+                fu_mix: FuMix::Basic,
+                topology,
+            }
+            .probe_machine(LatencyModel::default())
+        })
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random loops through both schedulers: the static violation-code set
     /// must equal the dynamic one at a steady-state trip count, on every
-    /// machine shape — in particular, verifier-clean ⟺ simulator-clean.
+    /// machine shape — in particular, verifier-clean ⟺ simulator-clean — and
+    /// the static per-link peaks must be the ones the execution observes.
     #[test]
     fn static_and_dynamic_verdicts_agree_on_random_loops(seed in 0u64..2000) {
         let mut rng = SmallRng::seed_from_u64(seed.wrapping_mul(97).wrapping_add(13));
         let lp = generate_loop(&CorpusConfig::small(1, seed), &mut rng, 0);
-        for machine in machines() {
+        for machine in machines().into_iter().chain(off_ring_probe_machines()) {
             let compiler = Compiler::new(CompilerConfig::paper_defaults(machine.clone()));
             let Ok(c) = compiler.compile(&lp) else { continue };
             let v = verify_with_allocation(&c.transformed, &machine, &c.schedule, &c.queues);
@@ -66,6 +92,8 @@ proptest! {
                 dynamic
             );
             prop_assert_eq!(v.is_clean(), dynamic.is_empty());
+            let run = simulate(&c.transformed, &machine, &c.schedule, STEADY_N).unwrap();
+            prop_assert_eq!(&v.peak_comm_occupancy, &run.measurement.peak_comm_occupancy);
         }
     }
 }
