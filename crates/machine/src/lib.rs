@@ -37,7 +37,7 @@ pub mod topology;
 
 pub use cluster::{ClusterConfig, RingConfig};
 pub use fu::{ClusterId, Fu, FuId};
-pub use machine::{copy_units_for, Machine};
+pub use machine::{copy_units_for, LinkTable, Machine};
 pub use space::{FuMix, MachineConfig, MachineSpace, SweepGrid, VALUE_BITS};
 pub use topology::{torus_rows, Topology};
 

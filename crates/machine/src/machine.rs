@@ -22,11 +22,6 @@ pub struct Machine {
     /// Every topology reuses the ring's per-link sizing (`ring`); the paper's
     /// machines are all [`Topology::Ring`].
     topology: Topology,
-    /// The interconnect's directed links, in [`Topology::links`] order.
-    links: Vec<(ClusterId, ClusterId)>,
-    /// `link_of[from · num_clusters + to]`: the position of `(from, to)` in
-    /// `links`, `None` when the pair has no direct link.
-    link_of: Vec<Option<u32>>,
     fus: Vec<Fu>,
     latencies: LatencyModel,
     /// Unit ids of each class machine-wide, ascending; indexed by [`OpClass::index`].
@@ -47,10 +42,10 @@ pub struct Machine {
     cluster_class_mask: Vec<u64>,
 }
 
-// Equality and hashing deliberately skip the index, mask and link tables: they
-// are pure functions of `fus`, `clusters` and `topology`, and `Machine` is
-// hashed on every compilation-session key lookup — hashing the caches would
-// triple the FuId traffic for zero added discrimination.
+// Equality and hashing deliberately skip the index and mask tables: they are
+// pure functions of `fus`, and `Machine` is hashed on every compilation-session
+// key lookup — hashing the caches would triple the FuId traffic for zero added
+// discrimination.
 impl PartialEq for Machine {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
@@ -113,13 +108,11 @@ impl Machine {
             class_mask[fu.class.index() * fu_mask_words + w] |= 1 << b;
             cluster_class_mask[cc * fu_mask_words + w] |= 1 << b;
         }
-        let mut machine = Machine {
+        Machine {
             name: name.into(),
             clusters,
             ring,
             topology: Topology::Ring,
-            links: Vec::new(),
-            link_of: Vec::new(),
             fus,
             latencies,
             class_index,
@@ -127,23 +120,6 @@ impl Machine {
             fu_mask_words,
             class_mask,
             cluster_class_mask,
-        };
-        machine.index_links();
-        machine
-    }
-
-    /// Rebuilds the link table and its index for the current topology.
-    fn index_links(&mut self) {
-        let n = self.clusters.len();
-        self.links = self
-            .topology
-            .links(n)
-            .into_iter()
-            .map(|(a, b)| (ClusterId(a as u32), ClusterId(b as u32)))
-            .collect();
-        self.link_of = vec![None; n * n];
-        for (l, &(from, to)) in self.links.iter().enumerate() {
-            self.link_of[from.index() * n + to.index()] = Some(l as u32);
         }
     }
 
@@ -199,7 +175,6 @@ impl Machine {
     /// width, which the design-space storage accounting charges for.
     pub fn with_topology(mut self, topology: Topology) -> Self {
         self.topology = topology;
-        self.index_links();
         self
     }
 
@@ -360,22 +335,26 @@ impl Machine {
     /// The directed links of the interconnect: every ordered pair of distinct
     /// clusters that [`Machine::clusters_communicate`] admits, in
     /// [`Topology::links`] order (on the ring, `(c, c+1)` then `(c, c−1)` per
-    /// cluster).  Each is a storage pool of its own, sized by `ring`; the
-    /// simulator's and the verifier's per-link peaks are indexed by this
-    /// table.  Empty for a single-cluster machine.
-    pub fn links(&self) -> &[(ClusterId, ClusterId)] {
-        &self.links
-    }
-
-    /// The position of the directed link `from -> to` in [`Machine::links`],
-    /// or `None` when the clusters are the same, do not communicate directly,
-    /// or do not exist.
-    pub fn link_index(&self, from: ClusterId, to: ClusterId) -> Option<usize> {
+    /// cluster), with an O(1) index.  Each link is a storage pool of its own,
+    /// sized by `ring`; the simulator's and the verifier's per-link peaks are
+    /// indexed by this table.  Empty for a single-cluster machine.
+    ///
+    /// Built on demand: only the simulator and the verifier need it, once per
+    /// run, while the experiment drivers build machines on every request.
+    pub fn link_table(&self) -> LinkTable {
         let n = self.clusters.len();
-        if from.index() >= n || to.index() >= n {
-            return None;
-        }
-        self.link_of[from.index() * n + to.index()].map(|l| l as usize)
+        let mut index = vec![None; n * n];
+        let links = self
+            .topology
+            .links(n)
+            .into_iter()
+            .enumerate()
+            .map(|(l, (from, to))| {
+                index[from * n + to] = Some(l as u32);
+                (ClusterId(from as u32), ClusterId(to as u32))
+            })
+            .collect();
+        LinkTable { links, index, num_clusters: n }
     }
 
     /// The ring distance (minimum number of hops) between two clusters.
@@ -397,6 +376,36 @@ impl Machine {
     /// (i.e. per direction), or 0 for a single-cluster machine.
     pub fn comm_queues_per_direction(&self) -> usize {
         self.ring.map(|r| r.queues_per_direction).unwrap_or(0)
+    }
+}
+
+/// A machine's directed interconnect links and their index
+/// ([`Machine::link_table`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LinkTable {
+    /// The directed links, in [`Topology::links`] order.
+    links: Vec<(ClusterId, ClusterId)>,
+    /// `index[from · num_clusters + to]`: the position of `(from, to)` in
+    /// `links`, `None` when the pair has no direct link.
+    index: Vec<Option<u32>>,
+    num_clusters: usize,
+}
+
+impl LinkTable {
+    /// The directed links, `(from, to)`, in table order.
+    pub fn links(&self) -> &[(ClusterId, ClusterId)] {
+        &self.links
+    }
+
+    /// The position of the directed link `from -> to` in
+    /// [`LinkTable::links`], or `None` when the clusters are the same, do not
+    /// communicate directly, or do not exist.
+    pub fn index_of(&self, from: ClusterId, to: ClusterId) -> Option<usize> {
+        let n = self.num_clusters;
+        if from.index() >= n || to.index() >= n {
+            return None;
+        }
+        self.index[from.index() * n + to.index()].map(|l| l as usize)
     }
 }
 
@@ -620,26 +629,27 @@ mod tests {
                 Machine::new("links", clusters, (n > 1).then_some(ring), LatencyModel::default());
             for t in Topology::ALL {
                 let m = base.clone().with_topology(t);
-                assert_eq!(m.links().len(), t.directed_links(n), "{t} n={n}");
+                let table = m.link_table();
+                assert_eq!(table.links().len(), t.directed_links(n), "{t} n={n}");
                 let order: Vec<(usize, usize)> =
-                    m.links().iter().map(|&(a, b)| (a.index(), b.index())).collect();
+                    table.links().iter().map(|&(a, b)| (a.index(), b.index())).collect();
                 assert_eq!(order, t.links(n), "{t} n={n}");
                 for a in m.cluster_ids() {
                     for b in m.cluster_ids() {
-                        let l = m.link_index(a, b);
+                        let l = table.index_of(a, b);
                         assert_eq!(l.is_some(), a != b && m.clusters_communicate(a, b));
                         if let Some(l) = l {
-                            assert_eq!(m.links()[l], (a, b), "{t} n={n}");
+                            assert_eq!(table.links()[l], (a, b), "{t} n={n}");
                         }
                     }
                 }
             }
         }
-        let four = Machine::paper_clustered(4, LatencyModel::default());
+        let four = Machine::paper_clustered(4, LatencyModel::default()).link_table();
         assert_eq!(four.links()[..2], [(ClusterId(0), ClusterId(1)), (ClusterId(0), ClusterId(3))]);
-        assert_eq!(four.link_index(ClusterId(0), ClusterId(2)), None);
-        assert_eq!(four.link_index(ClusterId(0), ClusterId(9)), None);
-        assert!(Machine::paper_single(6).links().is_empty());
+        assert_eq!(four.index_of(ClusterId(0), ClusterId(2)), None);
+        assert_eq!(four.index_of(ClusterId(0), ClusterId(9)), None);
+        assert!(Machine::paper_single(6).link_table().links().is_empty());
     }
 
     #[test]

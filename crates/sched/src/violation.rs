@@ -81,7 +81,8 @@ pub enum Violation {
         /// Cycle at which the simulator first saw the overflow.
         cycle: Option<u64>,
     },
-    /// A ring link's communication queues need more values than they can store.
+    /// A directed link's communication queues need more values than they can
+    /// store.
     CommOverflow {
         /// Producing cluster of the directed link.
         from: ClusterId,
@@ -94,8 +95,8 @@ pub enum Violation {
         /// Cycle at which the simulator first saw the overflow.
         cycle: Option<u64>,
     },
-    /// A value flows between clusters that are not adjacent on the ring, for
-    /// which the machine has no communication path (Section 4 of the paper).
+    /// A value flows between clusters that are not adjacent on the machine's
+    /// interconnect, so it has no communication path (Section 4 of the paper).
     NonAdjacent {
         /// Producing operation.
         src: OpId,
@@ -234,12 +235,12 @@ impl fmt::Display for Violation {
             Violation::CommOverflow { from, to, occupancy, capacity, cycle } => match cycle {
                 Some(c) => write!(
                     f,
-                    "ring link {from} -> {to} held {occupancy} values at cycle {c}, \
+                    "link {from} -> {to} held {occupancy} values at cycle {c}, \
                      capacity is {capacity}"
                 ),
                 None => write!(
                     f,
-                    "ring link {from} -> {to} needs {occupancy} values at steady state, \
+                    "link {from} -> {to} needs {occupancy} values at steady state, \
                      capacity is {capacity}"
                 ),
             },

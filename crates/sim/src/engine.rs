@@ -1,7 +1,7 @@
 //! The cycle-stepping simulation engine.
 
 use vliw_ddg::{Ddg, DepKind, OpClass, OpId};
-use vliw_machine::{ClusterId, Machine};
+use vliw_machine::{ClusterId, LinkTable, Machine};
 use vliw_sched::{Schedule, Violation};
 
 use crate::expand::{phase_of, sim_total_cycles, Phase};
@@ -12,7 +12,7 @@ use crate::report::{SimMeasurement, SimRun, MAX_RECORDED_VIOLATIONS};
 enum Domain {
     /// The private QRF of one cluster.
     Private(u32),
-    /// A directed interconnect link (index into [`Machine::links`]).
+    /// A directed interconnect link (index into [`Machine::link_table`]).
     Link(u32),
     /// No physical path exists (non-adjacent clusters); nothing to account.
     Unroutable,
@@ -150,6 +150,8 @@ struct Engine<'a> {
     flow_in: Vec<Vec<FlowUse>>,
     /// Outgoing flow uses per operation (enqueued at the producer's write).
     flow_out: Vec<Vec<FlowUse>>,
+    /// The machine's directed links.
+    links: LinkTable,
     /// Issue record ring buffer: stamp (`iteration + 1`, 0 = empty) and cycle
     /// per (iteration mod window, op).
     window: usize,
@@ -187,6 +189,7 @@ impl<'a> Engine<'a> {
     ) -> Self {
         let n = ddg.num_ops();
         let ii = u64::from(schedule.ii);
+        let links = machine.link_table();
 
         let starts: Vec<u64> = schedule.start.iter().map(|&s| u64::from(s)).collect();
         let mut slot_ops = vec![Vec::new(); schedule.ii as usize];
@@ -226,7 +229,7 @@ impl<'a> Engine<'a> {
             let domain = if from == to {
                 Domain::Private(from.0)
             } else {
-                machine.link_index(from, to).map_or(Domain::Unroutable, |l| Domain::Link(l as u32))
+                links.index_of(from, to).map_or(Domain::Unroutable, |l| Domain::Link(l as u32))
             };
             flow_in[e.dst.index()].push(FlowUse {
                 other_start: starts[e.src.index()],
@@ -268,11 +271,12 @@ impl<'a> Engine<'a> {
             preds,
             flow_in,
             flow_out,
-            link_peak: vec![0; machine.links().len()],
-            link_occ: vec![0; machine.links().len()],
-            link_overflowed: vec![false; machine.links().len()],
+            link_peak: vec![0; links.links().len()],
+            link_occ: vec![0; links.links().len()],
+            link_overflowed: vec![false; links.links().len()],
             queue_occ: vec![0; queue_map.map_or(0, |m| m.num_queues)],
             queue_peak: vec![0; queue_map.map_or(0, |m| m.num_queues)],
+            links,
             window,
             rec_stamp: vec![0; window * n.max(1)],
             rec_cycle: vec![0; window * n.max(1)],
@@ -489,7 +493,7 @@ impl<'a> Engine<'a> {
             self.link_peak[l] = self.link_peak[l].max(occ);
             if occ > self.link_capacity && !self.link_overflowed[l] {
                 self.link_overflowed[l] = true;
-                let (from, to) = self.machine.links()[l];
+                let (from, to) = self.links.links()[l];
                 self.record(Violation::CommOverflow {
                     from,
                     to,

@@ -15,7 +15,7 @@
 //! * **queue register file occupancy** — every value use is enqueued in its
 //!   producer cluster's QRF (or, for cross-cluster flows, in the communication
 //!   queues of its directed link, one pool per entry of
-//!   [`vliw_machine::Machine::links`]) at the producer's issue cycle and
+//!   [`vliw_machine::Machine::link_table`]) at the producer's issue cycle and
 //!   destructively dequeued at its consumer's read, with occupancy
 //!   capacity-checked against the [`vliw_machine::ClusterConfig`] /
 //!   [`vliw_machine::RingConfig`] budgets;

@@ -33,7 +33,7 @@ pub struct SimMeasurement {
     /// QRF, indexed by cluster.
     pub peak_private_occupancy: Vec<usize>,
     /// Peak number of values simultaneously resident on each directed
-    /// interconnect link, indexed by `Machine::links` (empty for
+    /// interconnect link, indexed by `Machine::link_table` (empty for
     /// single-cluster machines).
     pub peak_comm_occupancy: Vec<usize>,
     /// Peak number of values simultaneously resident in each *physical* queue,

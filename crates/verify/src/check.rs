@@ -11,7 +11,7 @@
 //!   communicating clusters;
 //! * **steady-state storage** — per-pool peak occupancy via difference-array
 //!   lifetime counting (`vliw_qrf::max_live`), partitioned into each cluster's
-//!   private QRF and each directed link of [`Machine::links`] exactly as the
+//!   private QRF and each directed link of [`Machine::link_table`] exactly as the
 //!   simulator's domain model does, then compared against the machine's
 //!   capacity budgets;
 //! * **per-queue depths** — [`verify_with_allocation`] recounts every queue of
@@ -55,7 +55,7 @@ pub struct Verification {
     /// cluster.
     pub peak_private_occupancy: Vec<usize>,
     /// Steady-state peak occupancy of each directed interconnect link, indexed
-    /// by [`Machine::links`] (empty for single-cluster machines).
+    /// by [`Machine::link_table`] (empty for single-cluster machines).
     pub peak_comm_occupancy: Vec<usize>,
     /// Static per-queue depth recount, indexed like the allocation's queues
     /// (empty when no allocation was supplied).
@@ -305,7 +305,8 @@ fn verify_inner(
     let lifetimes = clamped_use_lifetimes(ddg, schedule);
     let num_clusters = machine.num_clusters();
     let mut private_members: Vec<Vec<u32>> = vec![Vec::new(); num_clusters];
-    let mut link_members: Vec<Vec<u32>> = vec![Vec::new(); machine.links().len()];
+    let links = machine.link_table();
+    let mut link_members: Vec<Vec<u32>> = vec![Vec::new(); links.links().len()];
     let mut k = 0u32;
     for e in ddg.edges() {
         if !e.kind.carries_value() {
@@ -319,7 +320,7 @@ fn verify_inner(
         let (from, to) = (cluster_of(e.src.index()), cluster_of(e.dst.index()));
         if from == to {
             private_members[from.index()].push(idx);
-        } else if let Some(l) = machine.link_index(from, to) {
+        } else if let Some(l) = links.index_of(from, to) {
             link_members[l].push(idx);
         }
     }
@@ -351,7 +352,7 @@ fn verify_inner(
         machine.ring().map(|r| r.queues_per_direction * r.queue_capacity).unwrap_or(0);
     for (l, &peak) in out.peak_comm_occupancy.iter().enumerate() {
         if peak > link_capacity {
-            let (from, to) = machine.links()[l];
+            let (from, to) = links.links()[l];
             out.violations.push(Violation::CommOverflow {
                 from,
                 to,
@@ -552,14 +553,14 @@ mod tests {
 
     #[test]
     fn link_table_matches_ring_topology() {
-        // Comm peaks are indexed by `Machine::links`: on the 4-cluster ring,
+        // Comm peaks are indexed by `Machine::link_table`: on the 4-cluster ring,
         // (0, 1) then (0, 3) lead, so a value crossing 0 -> 3 lands at index 1.
         let four = Machine::paper_clustered(4, lat());
         let (g, s, _) = cross_cluster_pair(&four, 0, 3, 2);
         let v = verify(&g, &four, &s);
         assert!(v.is_clean(), "{}", v.render_text());
         assert_eq!(v.peak_comm_occupancy, [0, 1, 0, 0, 0, 0, 0, 0]);
-        assert_eq!(four.links()[1], (ClusterId(0), ClusterId(3)));
+        assert_eq!(four.link_table().links()[1], (ClusterId(0), ClusterId(3)));
         let single = Machine::single_cluster(6, 2, 32, lat());
         let (g, s, _) = cross_cluster_pair(&single, 0, 0, 2);
         assert!(verify(&g, &single, &s).peak_comm_occupancy.is_empty());

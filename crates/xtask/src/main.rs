@@ -17,9 +17,10 @@
 //! * no encode path builds a `serde::Value`: `.serialize()` and
 //!   `serde_json::to_value` are denied outside test code, so every report,
 //!   frame and persisted entry streams through `Serialize::write_json`.
-//! * doc-sync, both ways: every stable code the verifier (`V001-…`) and the
-//!   pruned sweep driver (`B004-…`) define must have a row in README.md's code
-//!   tables, and every code a table row names must be defined by one of them.
+//! * doc-sync, both ways: every stable code the shared `Violation`
+//!   (`V001-…`, in `vliw-sched`) and the pruned sweep driver (`B004-…`) define
+//!   must have a row in README.md's code tables, and every code a table row
+//!   names must be defined by one of them.
 //!
 //! The rules are textual by design (no syn, no rustc internals): they run on
 //! the exact bytes committed, cannot drift with compiler versions, and their
@@ -323,11 +324,6 @@ mod tests {
         findings.clear();
         check_file("crates/sim/src/engine.rs", "x.unwrap_or(0);\n", &mut findings);
         assert!(findings.is_empty(), "unwrap_or is fine: {findings:?}");
-    }
-
-    #[test]
-    fn unwrap_is_flagged_in_the_shared_check_files_only() {
-        let mut findings = Vec::new();
         for file in NO_PANIC_FILES {
             check_file(file, "x.expect(\"y\");\n", &mut findings);
         }
