@@ -381,7 +381,7 @@ impl Machine {
 
 /// A machine's directed interconnect links and their index
 /// ([`Machine::link_table`]).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct LinkTable {
     /// The directed links, in [`Topology::links`] order.
     links: Vec<(ClusterId, ClusterId)>,
