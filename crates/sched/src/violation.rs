@@ -423,6 +423,72 @@ mod tests {
     }
 
     #[test]
+    fn sim_violations_convert_with_their_codes_and_provenance() {
+        // The simulator's spellings: the code of the class, with the cycle and
+        // iteration kept beside it rather than folded into the static form.
+        let dynamic = Violation::DepDistance {
+            src: OpId(0),
+            dst: OpId(1),
+            iteration: Some(3),
+            cycle: Some(7),
+            ready_at: Some(9),
+        };
+        let analytic = Violation::DepDistance {
+            src: OpId(0),
+            dst: OpId(1),
+            iteration: None,
+            cycle: None,
+            ready_at: None,
+        };
+        assert_eq!(dynamic.code(), "V001-DEP-DISTANCE");
+        assert_eq!(dynamic.code(), analytic.code());
+        assert_ne!(dynamic, analytic);
+        assert!(matches!(dynamic, Violation::DepDistance { cycle: Some(7), .. }));
+        let v = Violation::FuConflict {
+            first: OpId(0),
+            second: OpId(1),
+            fu: FuId(2),
+            slot: None,
+            cycle: Some(4),
+        };
+        assert_eq!(v.code(), "V002-FU-CONFLICT");
+        assert!(v.is_schedule_fault());
+        let v = Violation::PrivateOverflow {
+            cluster: ClusterId(1),
+            occupancy: 65,
+            capacity: 64,
+            cycle: Some(2),
+        };
+        assert_eq!(v.code(), "V006-PRIVATE-OVERFLOW");
+        assert!(!v.is_schedule_fault());
+        let v = Violation::NonAdjacent {
+            src: OpId(0),
+            dst: OpId(1),
+            from: ClusterId(0),
+            to: ClusterId(2),
+        };
+        assert_eq!(v.code(), "V008-NON-ADJACENT");
+        assert!(v.is_schedule_fault());
+    }
+
+    #[test]
+    fn setup_errors_convert_with_their_codes() {
+        // `simulate` refuses malformed input with `Err(Violation)`; boxed as a
+        // `dyn Error` the refusal still leads with its code.
+        let cases = [
+            (Violation::WrongLength { expected: 2, actual: 1 }, "V005-WRONG-LENGTH"),
+            (Violation::ZeroIi, "V011-ZERO-II"),
+            (Violation::UnknownFu { op: OpId(0), fu: FuId(9) }, "V004-FU-UNKNOWN"),
+            (Violation::BadQueueMap { expected_edges: 1, actual_edges: 0 }, "V012-QUEUE-MAP"),
+        ];
+        for (v, code) in cases {
+            assert_eq!(v.code(), code);
+            let boxed: Box<dyn std::error::Error> = v.into();
+            assert!(boxed.to_string().starts_with(&format!("[{code}] ")), "{boxed}");
+        }
+    }
+
+    #[test]
     fn only_storage_classes_are_capacity_faults() {
         for v in every_violation() {
             let capacity = matches!(
