@@ -34,7 +34,7 @@ use std::sync::{Mutex, MutexGuard};
 use vliw_ddg::{DepKind, LatencyModel, Loop, OpClass};
 use vliw_machine::{ClusterId, Machine, MachineConfig};
 use vliw_qrf::insert_copies;
-use vliw_sched::rec_mii;
+use vliw_sched::{rec_mii, resource_bound};
 use vliw_unroll::{select_unroll_factor, unroll_ddg, DEFAULT_MAX_FACTOR};
 
 /// Total value slots of a config: the pigeonhole capacity every live value
@@ -104,17 +104,10 @@ struct BodySummary {
 }
 
 impl BodySummary {
-    /// The largest resource row `ceil(ops / units)` over the classes with
-    /// operations (`u32::MAX` for a class without units), and `floor`.
-    fn max_class_row(&self, floor: u32, units: impl Fn(OpClass) -> usize) -> u32 {
-        OpClass::ALL
-            .into_iter()
-            .filter(|class| self.class_counts[class.index()] > 0)
-            .map(|class| match units(class) {
-                0 => u32::MAX,
-                u => self.class_counts[class.index()].div_ceil(u).min(u32::MAX as usize) as u32,
-            })
-            .fold(floor, u32::max)
+    /// The scheduler's resource bound of the body on `units(class)` units per
+    /// class, `u32::MAX` when a class with operations has no unit.
+    fn res_bound(&self, units: impl Fn(OpClass) -> usize) -> u32 {
+        resource_bound(&self.class_counts, units).unwrap_or(u32::MAX)
     }
 }
 
@@ -178,7 +171,7 @@ impl BoundsAnalyzer {
         let factor = self.unroll_factor(loop_index, lp, machine, units);
         let summary = self.body_summary(loop_index, lp, factor);
 
-        let res_mii = summary.max_class_row(1, |class| units[class.index()]);
+        let res_mii = summary.res_bound(|class| units[class.index()]);
         let mii = res_mii.max(summary.rec_mii).max(1);
         // The largest II the scheduler's default search accepts, which anchors
         // the min-live bound.  The partitioner's last-resort collapse fallback
@@ -187,9 +180,9 @@ impl BoundsAnalyzer {
         // machine-wide one (one cluster has fewer units), so the collapse cap
         // is the binding limit on clustered shapes.
         let ii_cap = if machine.is_clustered() {
-            let collapse_lower = summary.max_class_row(summary.rec_mii.max(1), |class| {
-                machine.fus_of_class_in_cluster(ClusterId(0), class).count()
-            });
+            let collapse_lower = summary
+                .res_bound(|class| machine.fu_ids_of_class_in_cluster(ClusterId(0), class).len())
+                .max(summary.rec_mii);
             collapse_lower.max(mii).saturating_mul(3).saturating_add(64)
         } else {
             mii.saturating_mul(2).saturating_add(64)
@@ -249,7 +242,7 @@ impl BoundsAnalyzer {
 mod tests {
     use super::*;
     use vliw_ddg::kernels;
-    use vliw_partition::{partition_schedule_with, PartitionOptions, PartitionScratch};
+    use vliw_partition::{partition_schedule, PartitionOptions};
     use vliw_qrf::{allocate_queues, use_lifetimes};
     use vliw_sched::{modulo_schedule, ImsOptions};
 
@@ -266,14 +259,12 @@ mod tests {
     #[test]
     fn bounds_match_the_schedulers_mii_arithmetic() {
         let analyzer = BoundsAnalyzer::new(lat());
-        let mut scratch = PartitionScratch::default();
         let machine = Machine::paper_clustered(4, lat());
         for (i, lp) in kernels::all_kernels(lat()).iter().enumerate() {
             let bounds = analyzer.analyze(i, lp, &machine);
             let body = transformed(lp, &machine);
-            let r =
-                partition_schedule_with(&body, &machine, PartitionOptions::default(), &mut scratch)
-                    .unwrap_or_else(|e| panic!("{}: {e}", lp.name));
+            let r = partition_schedule(&body, &machine, PartitionOptions::default())
+                .unwrap_or_else(|e| panic!("{}: {e}", lp.name));
             assert_eq!(bounds.res_mii, r.res_mii, "{}", lp.name);
             assert_eq!(bounds.rec_mii, r.rec_mii, "{}", lp.name);
             assert_eq!(bounds.mii(), r.mii, "{}", lp.name);
@@ -298,14 +289,11 @@ mod tests {
     #[test]
     fn min_live_never_exceeds_the_allocated_slots() {
         let analyzer = BoundsAnalyzer::new(lat());
-        let mut scratch = PartitionScratch::default();
         let machine = Machine::paper_clustered(2, lat());
         for (i, lp) in kernels::all_kernels(lat()).iter().enumerate() {
             let bounds = analyzer.analyze(i, lp, &machine);
             let body = transformed(lp, &machine);
-            let r =
-                partition_schedule_with(&body, &machine, PartitionOptions::default(), &mut scratch)
-                    .unwrap();
+            let r = partition_schedule(&body, &machine, PartitionOptions::default()).unwrap();
             let alloc = allocate_queues(&use_lifetimes(&body, &r.schedule), r.schedule.ii);
             let slots: usize = alloc.queue_depths.iter().sum();
             assert!(
@@ -343,12 +331,11 @@ mod tests {
         // the min-live pigeonhole would overstate the live floor.
         let analyzer = BoundsAnalyzer::new(lat());
         let machine = Machine::paper_clustered(4, lat());
-        let mut scratch = PartitionScratch::default();
         for (i, lp) in kernels::all_kernels(lat()).iter().enumerate() {
             let bounds = analyzer.analyze(i, lp, &machine);
             let body = transformed(lp, &machine);
             let opts = PartitionOptions { max_ii: Some(0), ..PartitionOptions::default() };
-            if let Ok(r) = partition_schedule_with(&body, &machine, opts, &mut scratch) {
+            if let Ok(r) = partition_schedule(&body, &machine, opts) {
                 assert!(
                     r.schedule.ii <= bounds.ii_cap,
                     "{}: collapsed II {} above cap {}",

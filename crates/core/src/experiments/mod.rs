@@ -59,8 +59,6 @@ pub use verify::{verify_experiment, VerifyReport, VerifyRow};
 use vliw_ddg::Loop;
 use vliw_loopgen::{generate_corpus, CorpusConfig};
 
-use crate::session::par_map_indexed;
-
 /// Shared configuration of the experiment drivers.
 #[derive(Debug, Clone)]
 pub struct ExperimentConfig {
@@ -109,41 +107,9 @@ pub fn default_threads() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).min(8)
 }
 
-/// Applies `f` to every item of `items`, in parallel over `threads` workers, and
-/// returns the results in input order.
-///
-/// Thin shim over the session layer's work-stealing executor
-/// ([`crate::session::par_map_indexed`]), kept so existing callers of the old
-/// statically-chunked implementation continue to work unchanged.
-pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(&T) -> R + Sync,
-{
-    par_map_indexed(items.len(), threads, |i| f(&items[i]))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn par_map_preserves_order_and_values() {
-        let items: Vec<u64> = (0..200).collect();
-        let seq: Vec<u64> = items.iter().map(|x| x * 3 + 1).collect();
-        for threads in [1, 2, 3, 8] {
-            let par = par_map(&items, threads, |x| x * 3 + 1);
-            assert_eq!(par, seq, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn par_map_handles_small_inputs() {
-        let empty: Vec<u32> = vec![];
-        assert!(par_map(&empty, 4, |x| *x).is_empty());
-        assert_eq!(par_map(&[7u32], 4, |x| x + 1), vec![8]);
-    }
 
     #[test]
     fn quick_config_generates_requested_corpus() {

@@ -37,7 +37,7 @@ pub mod protocol;
 pub mod session;
 
 pub use error::VliwError;
-pub use pipeline::{Compilation, Compiler, CompilerConfig, ScratchArena};
+pub use pipeline::{Compilation, Compiler, CompilerConfig};
 pub use session::{
     compile_stream, CompilationKey, LoopSummary, Session, SessionBuilder, SessionCompiler,
     SessionStats, SimSummary, StreamConfig, StreamReport, VerifySummary,
@@ -65,9 +65,9 @@ pub use vliw_machine::{
     copy_units_for, ClusterConfig, ClusterId, FuId, FuMix, Machine, MachineConfig, MachineSpace,
     RingConfig, SweepGrid, Topology,
 };
-pub use vliw_partition::{partition_schedule, CommStats, PartitionOptions, PartitionResult};
+pub use vliw_partition::{partition_schedule, CommStats, PartitionOptions};
 pub use vliw_qrf::{allocate_queues, insert_copies, q_compatible, use_lifetimes, QueueAllocation};
-pub use vliw_sched::{modulo_schedule, ImsOptions, ImsResult, SchedError, Schedule};
+pub use vliw_sched::{modulo_schedule, ImsOptions, SchedError, Schedule, ScheduleResult};
 pub use vliw_sim::{simulate, SimMeasurement, SimRun};
 pub use vliw_unroll::{ii_speedup, select_unroll_factor, unroll_ddg};
 // `vliw_verify::verify` itself stays behind the module path (`verify::verify`)

@@ -7,53 +7,20 @@
 //!    as required by a queue register file;
 //! 3. **scheduling** — plain iterative modulo scheduling for single-cluster
 //!    machines, the partitioning scheduler for clustered machines;
-//! 4. **storage allocation** — queue allocation (QRF) plus the conventional-RF
+//! 4. **storage allocation** — queue allocation (QRF), the per-pool
+//!    communication statistics of a clustered machine and the conventional-RF
 //!    MaxLive baseline;
-//! 5. **analysis** — II, stage count, static/dynamic IPC and communication
-//!    statistics.
-
-use std::cell::RefCell;
+//! 5. **analysis** — II, stage count and static/dynamic IPC.
 
 use vliw_analysis::IpcReport;
 use vliw_ddg::{Ddg, Loop};
 use vliw_machine::Machine;
-use vliw_partition::{partition_schedule_with, CommStats, PartitionOptions, PartitionScratch};
+use vliw_partition::{comm_stats, partition_schedule, CommStats, PartitionOptions};
 use vliw_qrf::{
-    allocate_queues_with, conventional_registers_required, insert_copies, use_lifetimes_into,
-    AllocScratch, Lifetime, QueueAllocation,
+    allocate_queues, conventional_registers_required, insert_copies, use_lifetimes, QueueAllocation,
 };
-use vliw_sched::{modulo_schedule_with, ImsOptions, SchedError, SchedScratch, Schedule};
-use vliw_unroll::{select_unroll_factor, unroll_ddg, unroll_ddg_into, DEFAULT_MAX_FACTOR};
-
-/// Reusable temporaries of the whole compilation pipeline: the placement
-/// engine's buffers (shared between plain IMS and the partitioner through
-/// [`PartitionScratch`]), the queue allocator's interference rows and the
-/// extracted-lifetime vector.
-///
-/// One arena per worker makes a corpus compile allocation-free in its hot loop:
-/// [`Compiler::compile`] uses a thread-local arena (the session executor's
-/// workers are OS threads, so each worker amortises one arena across every loop
-/// it claims), and [`Compiler::compile_with`] threads an explicit arena for
-/// callers that manage their own workers.
-#[derive(Debug, Default)]
-pub struct ScratchArena {
-    /// Placement buffers of plain IMS (single-cluster machines).
-    pub sched: SchedScratch,
-    /// Placement buffers + ring work-lists of the partitioner (clustered
-    /// machines).
-    pub partition: PartitionScratch,
-    /// Interference signatures, rows and depth buffers of the queue allocator.
-    pub alloc: AllocScratch,
-    /// Extracted per-use lifetimes of the loop being compiled.
-    pub lifetimes: Vec<Lifetime>,
-    /// Scratch graph holding the unrolled body between unrolling and copy
-    /// insertion (rebuilt in place per loop, never escapes the pipeline).
-    pub unrolled: vliw_ddg::Ddg,
-}
-
-thread_local! {
-    static COMPILE_ARENA: RefCell<ScratchArena> = RefCell::new(ScratchArena::default());
-}
+use vliw_sched::{modulo_schedule, ImsOptions, SchedError, Schedule};
+use vliw_unroll::{select_unroll_factor, unroll_ddg, DEFAULT_MAX_FACTOR};
 
 /// Configuration of the compilation pipeline.
 #[derive(Debug, Clone)]
@@ -190,68 +157,45 @@ impl Compiler {
     }
 
     /// Compiles one loop end to end.
+    ///
+    /// Every stage is its layer's plain entry point; each keeps its reusable
+    /// buffers thread-local, so a session worker amortises them across every
+    /// loop it compiles.
     pub fn compile(&self, lp: &Loop) -> Result<Compilation, SchedError> {
-        COMPILE_ARENA.with(|a| self.compile_with(lp, &mut a.borrow_mut()))
-    }
-
-    /// [`Compiler::compile`] backed by a caller-owned [`ScratchArena`]; the
-    /// scheduler and allocator temporaries live in `arena` instead of being
-    /// reallocated per loop.
-    pub fn compile_with(
-        &self,
-        lp: &Loop,
-        arena: &mut ScratchArena,
-    ) -> Result<Compilation, SchedError> {
         let machine = &self.config.machine;
         let latencies = *machine.latencies();
 
-        // 1 + 2. Unrolling and copy insertion.  When both run, the unrolled
-        // intermediate is consumed by copy insertion and never escapes, so it
-        // lives in an arena graph that is rebuilt in place loop after loop.
-        let (body, unroll_factor, num_copies) = match (self.config.unroll, self.config.use_copies) {
-            (true, true) => {
-                let factor = {
-                    let _span = vliw_obs::span!("unroll", lp.ddg.num_ops());
-                    let factor = select_unroll_factor(&lp.ddg, machine, self.config.max_unroll);
-                    unroll_ddg_into(&lp.ddg, factor, &mut arena.unrolled);
-                    factor
-                };
-                let _span = vliw_obs::span!("ddg/copies", arena.unrolled.num_ops());
-                let ins = insert_copies(&arena.unrolled, &latencies);
-                let n = ins.num_copies();
-                (ins.ddg, factor, n)
-            }
-            (true, false) => {
-                let _span = vliw_obs::span!("unroll", lp.ddg.num_ops());
-                let factor = select_unroll_factor(&lp.ddg, machine, self.config.max_unroll);
-                (unroll_ddg(&lp.ddg, factor).ddg, factor, 0)
-            }
-            (false, true) => {
-                let _span = vliw_obs::span!("ddg/copies", lp.ddg.num_ops());
-                let ins = insert_copies(&lp.ddg, &latencies);
-                let n = ins.num_copies();
-                (ins.ddg, 1, n)
-            }
-            (false, false) => (lp.ddg.clone(), 1, 0),
+        // 1 + 2. Unrolling and copy insertion.
+        let (unrolled, unroll_factor) = if self.config.unroll {
+            let _span = vliw_obs::span!("unroll", lp.ddg.num_ops());
+            let factor = select_unroll_factor(&lp.ddg, machine, self.config.max_unroll);
+            (Some(unroll_ddg(&lp.ddg, factor).ddg), factor)
+        } else {
+            (None, 1)
+        };
+        let base = unrolled.as_ref().unwrap_or(&lp.ddg);
+        let (body, num_copies) = if self.config.use_copies {
+            let _span = vliw_obs::span!("ddg/copies", base.num_ops());
+            let ins = insert_copies(base, &latencies);
+            let n = ins.num_copies();
+            (ins.ddg, n)
+        } else {
+            (unrolled.unwrap_or_else(|| lp.ddg.clone()), 0)
         };
 
         // 3. Scheduling.
-        let (schedule, res_mii, rec_mii, mii, comm) = if machine.is_clustered() {
-            let r = partition_schedule_with(
-                &body,
-                machine,
-                self.config.partition,
-                &mut arena.partition,
-            )?;
-            (r.schedule, r.res_mii, r.rec_mii, r.mii, Some(r.comm))
+        let r = if machine.is_clustered() {
+            partition_schedule(&body, machine, self.config.partition)?
         } else {
-            let r = modulo_schedule_with(&body, machine, self.config.sched, &mut arena.sched)?;
-            (r.schedule, r.res_mii, r.rec_mii, r.mii, None)
+            modulo_schedule(&body, machine, self.config.sched)?
         };
+        let schedule = r.schedule;
 
-        // 4. Storage allocation.
-        use_lifetimes_into(&body, &schedule, &mut arena.lifetimes);
-        let queues = allocate_queues_with(&arena.lifetimes, schedule.ii, &mut arena.alloc);
+        // 4. Storage allocation: the machine-wide queues, the per-pool
+        // communication statistics of a clustered machine, and the
+        // conventional-RF baseline.
+        let queues = allocate_queues(&use_lifetimes(&body, &schedule), schedule.ii);
+        let comm = machine.is_clustered().then(|| comm_stats(&body, machine, &schedule));
         let registers_required = conventional_registers_required(&body, &schedule);
 
         // 5. Analysis.
@@ -271,9 +215,9 @@ impl Compiler {
             num_copies,
             transformed: body,
             schedule,
-            res_mii,
-            rec_mii,
-            mii,
+            res_mii: r.res_mii,
+            rec_mii: r.rec_mii,
+            mii: r.mii,
             stage_count,
             ipc,
             queues,
@@ -341,25 +285,6 @@ mod tests {
             let c = compiler.compile(&lp).unwrap();
             let comm = c.comm.as_ref().expect("clustered");
             assert_eq!(c.fits_machine(&clustered), comm.fits_pools(&clustered), "{}", lp.name);
-        }
-    }
-
-    #[test]
-    fn explicit_arena_matches_the_thread_local_path() {
-        // One arena carried across machines of both shapes (so the scratch is
-        // re-shaped repeatedly) must reproduce the thread-local compiles.
-        let mut arena = ScratchArena::default();
-        for machine in
-            [Machine::single_cluster(6, 2, 32, lat()), Machine::paper_clustered(4, lat())]
-        {
-            let compiler = Compiler::new(CompilerConfig::paper_defaults(machine));
-            for lp in kernels::all_kernels(lat()) {
-                let tls = compiler.compile(&lp).unwrap();
-                let explicit = compiler.compile_with(&lp, &mut arena).unwrap();
-                assert_eq!(tls.schedule, explicit.schedule, "{}", lp.name);
-                assert_eq!(tls.queues, explicit.queues, "{}", lp.name);
-                assert_eq!(tls.registers_required, explicit.registers_required, "{}", lp.name);
-            }
         }
     }
 

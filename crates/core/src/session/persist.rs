@@ -44,7 +44,9 @@ use crate::session::key::CompilationKey;
 ///
 /// 2: simulated torus and crossbar runs count values on non-ring links toward
 /// those links' peaks (they were left out of every pool).
-pub const STORE_VERSION: u32 = 2;
+/// 3: `PartitionOptions` lost its transit-move flag, which changes the hash of
+/// every [`CompilationKey`] and so every file name.
+pub const STORE_VERSION: u32 = 3;
 
 /// FNV-1a, 64-bit: a tiny, dependency-free [`Hasher`] whose output is stable
 /// across processes and platforms — unlike [`std::collections::hash_map::DefaultHasher`],

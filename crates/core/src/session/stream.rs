@@ -10,8 +10,8 @@
 //! shard at a time, compiles each shard on the work-stealing executor, folds
 //! the per-loop metrics into running aggregates, and drops the shard before
 //! generating the next one.  Peak memory is `O(shard_size)`, independent of the
-//! corpus size; the per-worker scratch arenas of the compile pipeline
-//! (`vliw_core::ScratchArena`) amortise across every loop a worker claims.
+//! corpus size; each pipeline stage's thread-local scratch amortises across
+//! every loop a worker claims.
 //! The loop stream is the same generator the eager path uses, so loop `i` of a
 //! streamed run is byte-identical to loop `i` of `Session::new` with the same
 //! corpus configuration.

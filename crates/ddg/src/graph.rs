@@ -247,28 +247,6 @@ impl Ddg {
             || self.edges.iter().any(|e| e.src == e.dst && e.distance > 0)
     }
 
-    /// Empties the graph while keeping (and growing to `ops`) the capacity of
-    /// every backing vector, so a long-lived scratch graph can be rebuilt
-    /// without reallocating.
-    pub fn clear_and_reserve(&mut self, ops: usize) {
-        self.ops.clear();
-        self.edges.clear();
-        self.succ_head.clear();
-        self.succ_tail.clear();
-        self.pred_head.clear();
-        self.pred_tail.clear();
-        self.succ_next.clear();
-        self.pred_next.clear();
-        self.ops.reserve(ops);
-        self.succ_head.reserve(ops);
-        self.succ_tail.reserve(ops);
-        self.pred_head.reserve(ops);
-        self.pred_tail.reserve(ops);
-        self.edges.reserve(ops * 2);
-        self.succ_next.reserve(ops * 2);
-        self.pred_next.reserve(ops * 2);
-    }
-
     /// Topological order of the intra-iteration (distance-0) subgraph.
     ///
     /// Returns `None` if that subgraph has a cycle (an invalid DDG).

@@ -35,16 +35,6 @@ pub struct CommStats {
 }
 
 impl CommStats {
-    /// True if the schedule fits the paper's basic cluster of Fig. 7: at most
-    /// `private` private queues per cluster and `comm` communication queues per
-    /// directed link (depths up to `depth`).
-    pub fn fits_cluster_budget(&self, private: usize, comm: usize, depth: usize) -> bool {
-        self.max_private_queues_per_cluster <= private
-            && self.max_comm_queues_per_link <= comm
-            && self.max_private_queue_depth <= depth
-            && self.max_comm_queue_depth <= depth
-    }
-
     /// Pool-split feasibility of the schedule on `machine` — the corrected
     /// Fig. 7 sizing predicate.
     ///
@@ -155,6 +145,7 @@ mod tests {
     use crate::scheduler::{partition_schedule, PartitionOptions};
     use vliw_ddg::{kernels, LatencyModel};
     use vliw_machine::LatencyModel as MachineLatency;
+    use vliw_machine::{ClusterConfig, RingConfig};
     use vliw_qrf::insert_copies;
 
     #[test]
@@ -162,8 +153,9 @@ mod tests {
         let m = Machine::paper_clustered(4, MachineLatency::default());
         for l in kernels::all_kernels(LatencyModel::default()) {
             let r = partition_schedule(&l.ddg, &m, PartitionOptions::default()).unwrap();
+            let comm = comm_stats(&l.ddg, &m, &r.schedule);
             let flow_edges = l.ddg.edges().filter(|e| e.kind == DepKind::Flow).count();
-            assert_eq!(r.comm.cross_cluster_values + r.comm.local_values, flow_edges, "{}", l.name);
+            assert_eq!(comm.cross_cluster_values + comm.local_values, flow_edges, "{}", l.name);
         }
     }
 
@@ -172,9 +164,10 @@ mod tests {
         let m = Machine::paper_clustered(1, MachineLatency::default());
         let l = kernels::daxpy(LatencyModel::default(), 100);
         let r = partition_schedule(&l.ddg, &m, PartitionOptions::default()).unwrap();
-        assert_eq!(r.comm.cross_cluster_values, 0);
-        assert_eq!(r.comm.max_comm_queues_per_link, 0);
-        assert!((r.comm.cross_fraction() - 0.0).abs() < f64::EPSILON);
+        let comm = comm_stats(&l.ddg, &m, &r.schedule);
+        assert_eq!(comm.cross_cluster_values, 0);
+        assert_eq!(comm.max_comm_queues_per_link, 0);
+        assert!((comm.cross_fraction() - 0.0).abs() < f64::EPSILON);
     }
 
     #[test]
@@ -186,12 +179,8 @@ mod tests {
         for l in kernels::all_kernels(lat) {
             let rewritten = insert_copies(&l.ddg, &lat);
             let r = partition_schedule(&rewritten.ddg, &m, PartitionOptions::default()).unwrap();
-            assert!(
-                r.comm.fits_cluster_budget(8, 8, 8),
-                "{} does not fit the Fig. 7 cluster: {:?}",
-                l.name,
-                r.comm
-            );
+            let comm = comm_stats(&rewritten.ddg, &m, &r.schedule);
+            assert!(comm.fits_pools(&m), "{} does not fit the Fig. 7 cluster: {comm:?}", l.name);
         }
     }
 
@@ -200,14 +189,14 @@ mod tests {
         let m = Machine::paper_clustered(6, MachineLatency::default());
         let l = kernels::wide_parallel(LatencyModel::default(), 100);
         let r = partition_schedule(&l.ddg, &m, PartitionOptions::default()).unwrap();
-        let f = r.comm.cross_fraction();
+        let f = comm_stats(&l.ddg, &m, &r.schedule).cross_fraction();
         assert!((0.0..=1.0).contains(&f));
     }
 
     #[test]
     fn pool_split_fixes_the_flat_fits_verdict() {
         use vliw_ddg::{DdgBuilder, OpKind};
-        use vliw_machine::{ClusterConfig, ClusterId, RingConfig};
+        use vliw_machine::ClusterId;
         use vliw_qrf::{allocate_queues, use_lifetimes};
         use vliw_sched::Schedule;
 
@@ -278,14 +267,21 @@ mod tests {
         for l in kernels::all_kernels(lat) {
             let rewritten = insert_copies(&l.ddg, &lat);
             let r = partition_schedule(&rewritten.ddg, &m, PartitionOptions::default()).unwrap();
+            let comm = comm_stats(&rewritten.ddg, &m, &r.schedule);
             // On the paper machine both budgets and both depths are 8, so the
-            // pool-split predicate coincides with the legacy budget check.
-            assert_eq!(r.comm.fits_pools(&m), r.comm.fits_cluster_budget(8, 8, 8), "{}", l.name);
+            // pool-split predicate is Fig. 7's flat budget check.
+            let fig7 = comm.max_private_queues_per_cluster <= 8
+                && comm.max_comm_queues_per_link <= 8
+                && comm.max_private_queue_depth <= 8
+                && comm.max_comm_queue_depth <= 8;
+            assert_eq!(comm.fits_pools(&m), fig7, "{}", l.name);
         }
     }
 
     #[test]
-    fn fits_cluster_budget_edge_cases() {
+    fn fits_pools_edge_cases() {
+        // Demand exactly at every budget of the paper machine fits; one queue
+        // or one slot of depth less in any single pool does not.
         let stats = CommStats {
             cross_cluster_values: 3,
             local_values: 5,
@@ -294,9 +290,28 @@ mod tests {
             max_private_queues_per_cluster: 8,
             max_private_queue_depth: 8,
         };
-        assert!(stats.fits_cluster_budget(8, 8, 8));
-        assert!(!stats.fits_cluster_budget(7, 8, 8));
-        assert!(!stats.fits_cluster_budget(8, 7, 8));
-        assert!(!stats.fits_cluster_budget(8, 8, 7));
+        let machine = |cluster: ClusterConfig, ring: RingConfig| {
+            Machine::new("edge", vec![cluster; 4], Some(ring), MachineLatency::default())
+        };
+        let (cluster, ring) = (ClusterConfig::paper_basic(), RingConfig::paper_basic());
+        assert!(stats.fits_pools(&machine(cluster.clone(), ring)));
+        let shrunk = [
+            machine(ClusterConfig { private_queues: 7, ..cluster.clone() }, ring),
+            machine(ClusterConfig { queue_capacity: 7, ..cluster.clone() }, ring),
+            machine(cluster.clone(), RingConfig { queues_per_direction: 7, ..ring }),
+            machine(cluster, RingConfig { queue_capacity: 7, ..ring }),
+        ];
+        for m in &shrunk {
+            assert!(!stats.fits_pools(m), "{:?} / {:?}", m.cluster(ClusterId(0)), m.ring());
+        }
+        // Without a ring no value may cross clusters at all.
+        let isolated = Machine::new(
+            "isolated",
+            vec![ClusterConfig::paper_basic()],
+            None,
+            MachineLatency::default(),
+        );
+        assert!(!stats.fits_pools(&isolated));
+        assert!(CommStats { cross_cluster_values: 0, ..stats }.fits_pools(&isolated));
     }
 }

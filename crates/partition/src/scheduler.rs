@@ -4,22 +4,26 @@
 //! operation while it is being placed in the modulo reservation table.  The hard
 //! constraint is the ring topology: a value produced in cluster `i` can only be
 //! consumed in cluster `i`, `i − 1` or `i + 1` (there are no transit moves between
-//! non-adjacent clusters — the paper lists those as future work).  When an operation
-//! cannot be placed in any cluster compatible with its already-placed neighbours, the
-//! blocking neighbours are unscheduled (backtracking) and the search continues; when
-//! the placement budget is exhausted the II is increased.
+//! non-adjacent clusters — the paper lists those as future work; a torus or
+//! crossbar machine widens what `Machine::clusters_communicate` admits instead).
+//! When an operation cannot be placed in any cluster compatible with its
+//! already-placed neighbours, the blocking neighbours are unscheduled
+//! (backtracking) and the search continues; when the placement budget is
+//! exhausted the II is increased.
+//!
+//! The search is `vliw_sched`'s [`IiSearch`], run over two windows: the ring
+//! window, then, if no II of it partitions, the single-cluster [`collapse`].
+//! The partitioner allocates no storage: the pipeline derives the
+//! communication statistics ([`crate::comm_stats`]) from the schedule.
 
 use std::cell::RefCell;
-use std::mem;
 
 use vliw_ddg::{Ddg, DepKind, OpId};
-use vliw_machine::{ClusterId, FuId, Machine};
+use vliw_machine::{ClusterId, Machine};
 use vliw_sched::{
-    rec_mii, res_mii, run_placement_with, ClusterPolicy, Eligibility, PlacementEngine, SchedError,
-    SchedScratch, Schedule,
+    resource_bound, ClusterPolicy, Eligibility, IiSearch, PlacementEngine, SchedError,
+    ScheduleResult,
 };
-
-use crate::comm::{comm_stats, CommStats};
 
 /// Reusable work-lists of the ring policy: the placed producer/consumer
 /// clusters of the operation being ranked and the affinity-sorted cluster
@@ -32,12 +36,11 @@ struct RingLists {
     all: Vec<ClusterId>,
 }
 
-/// Reusable backing storage of a partitioning run: the shared placement
-/// engine's [`SchedScratch`] plus the ring policy's work-lists.
-#[derive(Debug, Default)]
-pub struct PartitionScratch {
-    sched: SchedScratch,
-    ring: RingLists,
+thread_local! {
+    /// Per-thread work-lists of the ring policy (session executor workers are
+    /// OS threads).  `eligible` borrows them once per placement round and is
+    /// never re-entered, so the borrow cannot conflict.
+    static RING_LISTS: RefCell<RingLists> = RefCell::new(RingLists::default());
 }
 
 /// Tuning knobs of the partitioning scheduler.
@@ -50,16 +53,11 @@ pub struct PartitionOptions {
     pub min_ii: u32,
     /// Give up above this II (defaults to a generous multiple of the MII).
     pub max_ii: Option<u32>,
-    /// Allow values to move between non-adjacent clusters (the paper's "move
-    /// operations" future-work extension).  When enabled the ring adjacency
-    /// constraint is dropped, which models a machine with a full point-to-point
-    /// interconnect.
-    pub allow_transit_moves: bool,
 }
 
 impl Default for PartitionOptions {
     fn default() -> Self {
-        PartitionOptions { budget_ratio: 10, min_ii: 1, max_ii: None, allow_transit_moves: false }
+        PartitionOptions { budget_ratio: 10, min_ii: 1, max_ii: None }
     }
 }
 
@@ -69,153 +67,62 @@ impl PartitionOptions {
         self.min_ii = min_ii;
         self
     }
-
-    /// Enables transit moves between non-adjacent clusters.
-    pub fn with_transit_moves(mut self) -> Self {
-        self.allow_transit_moves = true;
-        self
-    }
-}
-
-/// Outcome of a successful partitioning run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PartitionResult {
-    /// The partitioned schedule (the cluster of each operation is the cluster of its
-    /// assigned functional unit).
-    pub schedule: Schedule,
-    /// Resource-constrained lower bound on the II.
-    pub res_mii: u32,
-    /// Recurrence-constrained lower bound on the II.
-    pub rec_mii: u32,
-    /// `max(ResMII, RecMII)`.
-    pub mii: u32,
-    /// Number of II values tried.
-    pub attempts: u32,
-    /// Inter-cluster communication statistics of the final schedule.
-    pub comm: CommStats,
-}
-
-impl PartitionResult {
-    /// True if the partitioner achieved the theoretical minimum II.
-    pub fn achieved_mii(&self) -> bool {
-        self.schedule.ii == self.mii.max(1)
-    }
-}
-
-thread_local! {
-    /// Per-thread scratch of the plain entry point (session executor workers
-    /// are OS threads); explicit `_with` callers never touch this.
-    static PARTITION_SCRATCH: RefCell<PartitionScratch> = RefCell::new(PartitionScratch::default());
 }
 
 /// Schedules `ddg` on the clustered `machine`, assigning every operation to a
 /// cluster, a functional unit and a cycle.
+///
+/// The ring window runs from the MII (or `opts.min_ii`) to `opts.max_ii`, by
+/// default `3·start + 64`; its `k`-th attempt may make `min(k, 8)` times the
+/// base budget of placements.  A loop no II of that window partitions
+/// collapses to one cluster.
 pub fn partition_schedule(
     ddg: &Ddg,
     machine: &Machine,
     opts: PartitionOptions,
-) -> Result<PartitionResult, SchedError> {
-    PARTITION_SCRATCH.with(|s| partition_schedule_with(ddg, machine, opts, &mut s.borrow_mut()))
+) -> Result<ScheduleResult, SchedError> {
+    let _span = vliw_obs::span!("sched/partition", ddg.num_ops());
+    let mut search = IiSearch::new(ddg, machine)?;
+    let first = search.mii.max(opts.min_ii).max(1);
+    let last = opts.max_ii.unwrap_or(first.saturating_mul(3).saturating_add(64));
+    let base_budget = (ddg.num_ops() as u32).saturating_mul(opts.budget_ratio).max(32);
+    // Later attempts get a larger backtracking budget: communication conflicts
+    // can require unscheduling the same operations several times before the
+    // placement converges.
+    let ring = RingPolicy { restrict_to: None };
+    match search.window(first..=last, |k| base_budget.saturating_mul(k.min(8)), &ring) {
+        Some(result) => Ok(result),
+        None => collapse(ddg, machine, &mut search, opts.min_ii, base_budget),
+    }
 }
 
-/// [`partition_schedule`] backed by a caller-owned [`PartitionScratch`], so
-/// every II attempt after the first reuses the same placement buffers and ring
-/// work-lists.
-pub fn partition_schedule_with(
+/// Last-resort fallback: collapse the whole loop into cluster 0.
+///
+/// A one-cluster placement trivially satisfies the ring constraint (no value
+/// ever crosses a cluster boundary) and always exists for a large enough II;
+/// it is the partitioning equivalent of fully serialising the loop and
+/// corresponds to the worst case the paper's backtracking degenerates to.  Its
+/// window runs from the single-cluster bound (`RecMII` and cluster 0's
+/// resource bound) to `3·bound + 64`, every attempt with 8 times the base
+/// budget, and that bound, not the machine-wide one, is reported as the MII.
+fn collapse(
     ddg: &Ddg,
     machine: &Machine,
-    opts: PartitionOptions,
-    scratch: &mut PartitionScratch,
-) -> Result<PartitionResult, SchedError> {
-    let _span = vliw_obs::span!("sched/partition", ddg.num_ops());
-    if ddg.num_ops() == 0 {
-        return Err(SchedError::EmptyGraph);
-    }
-    ddg.validate_with(scratch.sched.validate_scratch()).map_err(SchedError::InvalidGraph)?;
-    let res = res_mii(ddg, machine)?;
-    let rec = rec_mii(ddg);
-    let lower = res.max(rec);
-    let start_ii = lower.max(opts.min_ii).max(1);
-    let max_ii = opts.max_ii.unwrap_or(start_ii.saturating_mul(3).saturating_add(64));
-    let base_budget = (ddg.num_ops() as u32).saturating_mul(opts.budget_ratio).max(32);
-
-    let mut attempts = 0;
-    let mut ii = start_ii;
-    while ii <= max_ii {
-        attempts += 1;
-        // Later attempts get a larger backtracking budget: communication conflicts
-        // can require unscheduling the same operations several times before the
-        // placement converges.
-        let budget = base_budget.saturating_mul(attempts.min(8));
-        if let Some((start, fu)) =
-            try_partition_at(ddg, machine, ii, budget, opts.allow_transit_moves, None, scratch)
-        {
-            let schedule = Schedule::new(ii, start, fu);
-            debug_assert!(schedule.validate(ddg, machine).is_ok());
-            let comm = comm_stats(ddg, machine, &schedule);
-            return Ok(PartitionResult {
-                schedule,
-                res_mii: res,
-                rec_mii: rec,
-                mii: lower,
-                attempts,
-                comm,
-            });
-        }
-        ii += 1;
-    }
-
-    // Last-resort fallback: collapse the whole loop into a single cluster.  A
-    // one-cluster placement trivially satisfies the ring constraint (no value ever
-    // crosses a cluster boundary) and always exists for a large enough II; it is the
-    // partitioning equivalent of fully serialising the loop and corresponds to the
-    // worst case the paper's backtracking degenerates to.
-    let single_cluster = ClusterId(0);
-    let counts = ddg.class_counts();
-    let mut collapse_lower = rec.max(1);
-    for class in vliw_ddg::OpClass::ALL {
-        let ops = counts[class.index()];
-        if ops == 0 {
-            continue;
-        }
-        let units = machine.fus_of_class_in_cluster(single_cluster, class).count();
-        if units == 0 {
-            return Err(SchedError::NoFunctionalUnit { class });
-        }
-        collapse_lower = collapse_lower.max(ops.div_ceil(units) as u32);
-    }
-    // The single-cluster bound is what actually constrains the collapsed
-    // schedule, so it (not the machine-wide `lower`) is reported as the MII.
-    let collapse_bound = lower.max(collapse_lower);
-    let collapse_max = collapse_lower.saturating_mul(3).saturating_add(64);
-    let mut ii = collapse_lower.max(opts.min_ii);
-    while ii <= collapse_max {
-        attempts += 1;
-        let budget = base_budget.saturating_mul(8);
-        if let Some((start, fu)) = try_partition_at(
-            ddg,
-            machine,
-            ii,
-            budget,
-            opts.allow_transit_moves,
-            Some(single_cluster),
-            scratch,
-        ) {
-            let schedule = Schedule::new(ii, start, fu);
-            debug_assert!(schedule.validate(ddg, machine).is_ok());
-            let comm = comm_stats(ddg, machine, &schedule);
-            return Ok(PartitionResult {
-                schedule,
-                res_mii: res,
-                rec_mii: rec,
-                mii: collapse_bound,
-                attempts,
-                comm,
-            });
-        }
-        ii += 1;
-    }
-    Err(SchedError::IiLimitReached { limit: collapse_max })
+    search: &mut IiSearch<'_>,
+    min_ii: u32,
+    base_budget: u32,
+) -> Result<ScheduleResult, SchedError> {
+    let cluster = ClusterId(0);
+    let units = |class| machine.fu_ids_of_class_in_cluster(cluster, class).len();
+    let lower = resource_bound(&ddg.class_counts(), units)
+        .map_err(|class| SchedError::NoFunctionalUnit { class })?
+        .max(search.rec_mii);
+    search.mii = search.mii.max(lower);
+    let last = lower.saturating_mul(3).saturating_add(64);
+    let budget = base_budget.saturating_mul(8);
+    search
+        .window(lower.max(min_ii)..=last, |_| budget, &RingPolicy { restrict_to: Some(cluster) })
+        .ok_or(SchedError::IiLimitReached { limit: last })
 }
 
 /// The paper's cluster-eligibility heuristics, as a policy for the shared
@@ -228,17 +135,14 @@ pub fn partition_schedule_with(
 /// the cluster sacrificing the fewest placed neighbours, unschedules the
 /// incompatible ones through the engine, and restricts the placement to that
 /// cluster.
+///
+/// With `restrict_to: Some(c)` every operation is placed in cluster `c` (the
+/// collapse).  If `c` lacks a unit of some required class the attempt fails —
+/// it never escapes to another cluster, which used to break the "collapsed
+/// schedules are single-cluster" invariant.
 struct RingPolicy {
-    /// Drop the ring-adjacency constraint (the paper's "move operations"
-    /// future-work extension).
-    allow_transit: bool,
-    /// Place every operation in this cluster (the single-cluster collapse
-    /// fallback).
+    /// Place every operation in this cluster (the single-cluster collapse).
     restrict_to: Option<ClusterId>,
-    /// Reused work-lists, borrowed per `eligible` call.  `eligible` takes
-    /// `&self` and is never re-entered (the engine calls it once per placement
-    /// round), so the `RefCell` borrow cannot conflict.
-    lists: RefCell<RingLists>,
 }
 
 impl ClusterPolicy for RingPolicy {
@@ -248,10 +152,26 @@ impl ClusterPolicy for RingPolicy {
         op: OpId,
         ranked: &mut Vec<ClusterId>,
     ) -> Eligibility {
+        RING_LISTS.with(|lists| self.rank(engine, op, ranked, &mut lists.borrow_mut()))
+    }
+
+    fn comm_violated(&self, machine: &Machine, from: ClusterId, to: ClusterId) -> bool {
+        !machine.clusters_communicate(from, to)
+    }
+}
+
+impl RingPolicy {
+    /// [`ClusterPolicy::eligible`] over the borrowed work-lists.
+    fn rank(
+        &self,
+        engine: &mut PlacementEngine<'_>,
+        op: OpId,
+        ranked: &mut Vec<ClusterId>,
+        lists: &mut RingLists,
+    ) -> Eligibility {
         let machine = engine.machine();
         let ddg = engine.ddg();
-        let mut lists = self.lists.borrow_mut();
-        let RingLists { producers, consumers, all } = &mut *lists;
+        let RingLists { producers, consumers, all } = lists;
 
         // Placed flow neighbours and the communication constraints they impose:
         // `producers` must be able to send to op's cluster; op must be able to
@@ -270,9 +190,6 @@ impl ClusterPolicy for RingPolicy {
         );
 
         let comm_ok = |c: ClusterId| -> bool {
-            if self.allow_transit {
-                return true;
-            }
             producers.iter().all(|&p| machine.clusters_communicate(p, c))
                 && consumers.iter().all(|&s| machine.clusters_communicate(c, s))
         };
@@ -328,37 +245,6 @@ impl ClusterPolicy for RingPolicy {
         }
         Eligibility::Ranked
     }
-
-    fn comm_violated(&self, machine: &Machine, from: ClusterId, to: ClusterId) -> bool {
-        !self.allow_transit && !machine.clusters_communicate(from, to)
-    }
-}
-
-/// One partitioning attempt at a fixed II.
-///
-/// When `restrict_to` is `Some(c)`, every operation is placed in cluster `c` (the
-/// single-cluster collapse fallback).  If `c` lacks a unit of some required class
-/// the attempt fails — it never escapes to another cluster, which used to break
-/// the "collapsed schedules are single-cluster" invariant.
-fn try_partition_at(
-    ddg: &Ddg,
-    machine: &Machine,
-    ii: u32,
-    budget: u32,
-    allow_transit: bool,
-    restrict_to: Option<ClusterId>,
-    scratch: &mut PartitionScratch,
-) -> Option<(Vec<u32>, Vec<FuId>)> {
-    // The policy borrows the ring work-lists for the attempt and hands them
-    // back afterwards (the engine's own buffers travel through `scratch.sched`).
-    let policy = RingPolicy {
-        allow_transit,
-        restrict_to,
-        lists: RefCell::new(mem::take(&mut scratch.ring)),
-    };
-    let result = run_placement_with(ddg, machine, ii, budget, &policy, &mut scratch.sched);
-    scratch.ring = policy.lists.into_inner();
-    result
 }
 
 #[cfg(test)]
@@ -450,12 +336,13 @@ mod tests {
 
     #[test]
     fn transit_moves_drop_the_adjacency_restriction() {
+        // Transit moves between non-adjacent clusters are a crossbar: every
+        // cluster pair communicates, so no placement is ring-constrained.
         let m = clustered(6);
+        let xbar = clustered(6).with_topology(vliw_machine::Topology::Crossbar);
         let l = kernels::wide_parallel(LatencyModel::default(), 100);
-        let with_moves =
-            partition_schedule(&l.ddg, &m, PartitionOptions::default().with_transit_moves())
-                .unwrap();
-        assert!(with_moves.schedule.validate(&l.ddg, &m).is_ok());
+        let with_moves = partition_schedule(&l.ddg, &xbar, PartitionOptions::default()).unwrap();
+        assert!(with_moves.schedule.validate(&l.ddg, &xbar).is_ok());
         let without = partition_schedule(&l.ddg, &m, PartitionOptions::default()).unwrap();
         // Removing a constraint can only help (or leave unchanged) the II.
         assert!(with_moves.schedule.ii <= without.schedule.ii);
@@ -508,17 +395,19 @@ mod tests {
 
     #[test]
     fn scratch_reuse_matches_fresh_runs() {
-        // One scratch carried across kernels and cluster counts must reproduce
-        // the schedules of fresh (thread-local-backed) runs exactly.
-        let mut scratch = PartitionScratch::default();
+        // This thread's scratch, carried across kernels and cluster counts,
+        // must reproduce the results of a fresh thread's scratch exactly.
         for n in [2, 4, 5] {
             let m = clustered(n);
             for l in kernels::all_kernels(LatencyModel::default()) {
-                let fresh = partition_schedule(&l.ddg, &m, PartitionOptions::default()).unwrap();
-                let reused =
-                    partition_schedule_with(&l.ddg, &m, PartitionOptions::default(), &mut scratch)
-                        .unwrap();
-                assert_eq!(fresh.schedule, reused.schedule, "{} on {n} clusters", l.name);
+                let reused = partition_schedule(&l.ddg, &m, PartitionOptions::default()).unwrap();
+                let fresh = std::thread::scope(|s| {
+                    s.spawn(|| partition_schedule(&l.ddg, &m, PartitionOptions::default()))
+                        .join()
+                        .expect("the fresh run panicked")
+                })
+                .unwrap();
+                assert_eq!(fresh, reused, "{} on {n} clusters", l.name);
             }
         }
     }
@@ -627,7 +516,7 @@ mod tests {
     #[test]
     fn long_latency_chain_schedules_on_clusters_without_overflow() {
         // The issue windows of this chain sit near u32::MAX; the historical
-        // u32 window scan of `try_partition_at` overflowed there.
+        // u32 window scan of the partitioner overflowed there.
         let lat = LatencyModel { load: u32::MAX / 2, mul: u32::MAX / 2, ..Default::default() };
         let mut b = DdgBuilder::new(lat);
         let ld = b.op(OpKind::Load);
@@ -654,7 +543,7 @@ mod tests {
         let corpus = vliw_loopgen::generate_corpus(&vliw_loopgen::CorpusConfig::small(32, 386));
         let g = insert_copies(&corpus[13].ddg, &LatencyModel::default()).ddg;
         let m = clustered(6);
-        let mii = res_mii(&g, &m).unwrap().max(rec_mii(&g));
+        let mii = IiSearch::new(&g, &m).unwrap().mii;
         // A collapsed result reports the single-cluster bound as its MII.
         assert!(partition_schedule(&g, &m, PartitionOptions::default()).unwrap().mii > mii);
 
@@ -663,10 +552,9 @@ mod tests {
         // spinning until the process exits).
         let (tx, rx) = std::sync::mpsc::channel();
         let search = std::thread::spawn(move || {
-            let mut scratch = PartitionScratch::default();
-            let failed = (mii..=3 * mii + 64).all(|ii| {
-                try_partition_at(&g, &m, ii, u32::MAX, false, None, &mut scratch).is_none()
-            });
+            let ring = RingPolicy { restrict_to: None };
+            let mut search = IiSearch::new(&g, &m).unwrap();
+            let failed = search.window(mii..=3 * mii + 64, |_| u32::MAX, &ring).is_none();
             tx.send(failed).unwrap();
         });
         let failed = rx

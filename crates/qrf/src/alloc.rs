@@ -80,13 +80,13 @@ impl QueueAllocation {
     }
 }
 
-/// Reusable working storage of [`allocate_queues_with`]: the sort order, the
+/// Reusable working storage of [`allocate_queues`]: the sort order, the
 /// interference signatures, the per-queue interference rows, the flat member
 /// tables and the MaxLive difference array.  One instance per worker thread
 /// makes queue allocation allocation-free apart from the returned
 /// [`QueueAllocation`] itself.
 #[derive(Debug, Default)]
-pub struct AllocScratch {
+struct AllocScratch {
     order: Vec<usize>,
     sigs: InterferenceSigs,
     /// Interference rows of the open queues, `words_for(ii)` words each, flat.
@@ -106,25 +106,19 @@ pub struct AllocScratch {
 }
 
 thread_local! {
-    /// Per-thread scratch of the plain [`allocate_queues`] entry point.  The
-    /// session executor runs one OS thread per worker, so this gives every
-    /// worker a private reusable arena without threading a parameter through
-    /// every caller.
+    /// Per-thread scratch of [`allocate_queues`].  The session executor runs
+    /// one OS thread per worker, so this gives every worker a private reusable
+    /// arena without threading a parameter through every caller.
     static ALLOC_SCRATCH: RefCell<AllocScratch> = RefCell::new(AllocScratch::default());
 }
 
 /// Allocates `lifetimes` (per-use lifetimes of one modulo-scheduled loop) to queues.
 pub fn allocate_queues(lifetimes: &[Lifetime], ii: u32) -> QueueAllocation {
-    ALLOC_SCRATCH.with(|s| allocate_queues_with(lifetimes, ii, &mut s.borrow_mut()))
+    ALLOC_SCRATCH.with(|s| allocate_in(lifetimes, ii, &mut s.borrow_mut()))
 }
 
-/// [`allocate_queues`] with an explicit scratch arena (never touches the
-/// thread-local default, so it is safe to call from inside other scratch users).
-pub fn allocate_queues_with(
-    lifetimes: &[Lifetime],
-    ii: u32,
-    scratch: &mut AllocScratch,
-) -> QueueAllocation {
+/// [`allocate_queues`] in `scratch`'s buffers.
+fn allocate_in(lifetimes: &[Lifetime], ii: u32, scratch: &mut AllocScratch) -> QueueAllocation {
     let _span = vliw_obs::span!("qrf/alloc", lifetimes.len());
     assert!(ii >= 1);
     let words = words_for(ii);
@@ -367,8 +361,8 @@ mod tests {
         ];
         for lts in &sets {
             for ii in [1u32, 4, 7, 64, 100] {
-                let reused = allocate_queues_with(lts, ii, &mut scratch);
-                let fresh = allocate_queues_with(lts, ii, &mut AllocScratch::default());
+                let reused = allocate_in(lts, ii, &mut scratch);
+                let fresh = allocate_in(lts, ii, &mut AllocScratch::default());
                 assert_eq!(reused, fresh, "ii {ii}");
                 assert_eq!(reused, allocate_queues_pairwise(lts, ii), "ii {ii}");
             }

@@ -37,14 +37,10 @@ pub mod lifetime;
 pub mod qcompat;
 pub mod rf;
 
-pub use alloc::{
-    allocate_queues, allocate_queues_with, queues_required, AllocScratch, QueueAllocation,
-};
+pub use alloc::{allocate_queues, queues_required, QueueAllocation};
 pub use copyins::{copies_needed, insert_copies, CopyInsertion};
 pub use interfere::InterferenceSigs;
-pub use lifetime::{
-    max_live, max_live_indexed, use_lifetimes, use_lifetimes_into, value_lifetimes, Lifetime,
-};
+pub use lifetime::{max_live, max_live_indexed, use_lifetimes, value_lifetimes, Lifetime};
 pub use qcompat::{
     compatible_with_all, fifo_compatible, q_compatible, q_compatible_interval, q_compatible_reduced,
 };

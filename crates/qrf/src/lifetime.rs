@@ -56,16 +56,8 @@ impl Lifetime {
 
 /// Extracts one lifetime per (producer, consumer) flow edge.
 pub fn use_lifetimes(ddg: &Ddg, schedule: &Schedule) -> Vec<Lifetime> {
-    let mut out = Vec::new();
-    use_lifetimes_into(ddg, schedule, &mut out);
-    out
-}
-
-/// [`use_lifetimes`] into a caller-owned buffer (cleared and refilled), so a
-/// corpus compile reuses one lifetime vector.
-pub fn use_lifetimes_into(ddg: &Ddg, schedule: &Schedule, out: &mut Vec<Lifetime>) {
     let ii = u64::from(schedule.ii);
-    out.clear();
+    let mut out = Vec::new();
     for e in ddg.edges() {
         if !e.kind.carries_value() {
             continue;
@@ -75,6 +67,7 @@ pub fn use_lifetimes_into(ddg: &Ddg, schedule: &Schedule, out: &mut Vec<Lifetime
         debug_assert!(end >= start, "schedule violates dependence {e}");
         out.push(Lifetime { producer: e.src, consumer: e.dst, start, end });
     }
+    out
 }
 
 /// Extracts one lifetime per produced value (covering all of its consumers).

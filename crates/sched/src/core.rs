@@ -57,13 +57,12 @@ use crate::priority::height_r_into;
 ///
 /// One engine attempt performs a dozen allocations; an II search multiplies
 /// that by the number of attempts, and a corpus compile by the number of loops.
-/// A per-worker `SchedScratch` threaded through [`run_placement_with`] (or the
-/// schedulers' `_with` entry points) makes every attempt after the first
-/// allocation-free: buffers are taken out of the scratch, cleared, resized and
-/// returned by [`PlacementEngine::recycle`], growing monotonically to the
-/// high-water mark of the workload.
+/// The II search's per-thread `SchedScratch` (`crate::ims`) makes every attempt
+/// after the first allocation-free: buffers are taken out of the scratch,
+/// cleared, resized and returned by `PlacementEngine::recycle`, growing
+/// monotonically to the high-water mark of the workload.
 #[derive(Debug, Default)]
-pub struct SchedScratch {
+pub(crate) struct SchedScratch {
     heights: Vec<i64>,
     start: Vec<Option<u32>>,
     fu_of: Vec<FuId>,
@@ -76,7 +75,8 @@ pub struct SchedScratch {
     ready: Vec<(i64, Reverse<u32>)>,
     ranked: Vec<ClusterId>,
     checkpoint: Checkpoint,
-    validate: vliw_ddg::ValidateScratch,
+    /// The buffers of the II search's pre-flight [`Ddg::validate_with`] check.
+    pub(crate) validate: vliw_ddg::ValidateScratch,
 }
 
 /// The placement state a run saved last, for its recurrence check: the
@@ -102,14 +102,6 @@ fn op_key(i: usize, time: u64, fu: Option<FuId>) -> u64 {
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     x ^ (x >> 31)
-}
-
-impl SchedScratch {
-    /// The graph-validation buffers, shared with the schedulers' pre-flight
-    /// [`Ddg::validate_with`] check.
-    pub fn validate_scratch(&mut self) -> &mut vliw_ddg::ValidateScratch {
-        &mut self.validate
-    }
 }
 
 /// Cluster restriction of one placement round, as decided by a
@@ -193,16 +185,11 @@ pub struct PlacementEngine<'a> {
 }
 
 impl<'a> PlacementEngine<'a> {
-    /// Prepares an attempt: computes the II-adjusted heights and fills the
-    /// ready queue with every operation.
-    pub fn new(ddg: &'a Ddg, machine: &'a Machine, ii: u32) -> Self {
-        Self::new_in(ddg, machine, ii, &mut SchedScratch::default())
-    }
-
-    /// [`PlacementEngine::new`] backed by `scratch`'s buffers: the attempt
-    /// allocates nothing the scratch already holds.  Pair with
+    /// Prepares an attempt in `scratch`'s buffers: computes the II-adjusted
+    /// heights and fills the ready queue with every operation.  The attempt
+    /// allocates nothing the scratch already holds; pair with
     /// [`PlacementEngine::recycle`] to return the buffers after the run.
-    pub fn new_in(ddg: &'a Ddg, machine: &'a Machine, ii: u32, scratch: &mut SchedScratch) -> Self {
+    fn new_in(ddg: &'a Ddg, machine: &'a Machine, ii: u32, scratch: &mut SchedScratch) -> Self {
         let n = ddg.num_ops();
         let mut heights = mem::take(&mut scratch.heights);
         height_r_into(ddg, ii, &mut heights);
@@ -247,7 +234,7 @@ impl<'a> PlacementEngine<'a> {
     }
 
     /// Returns the engine's buffers to `scratch` for the next attempt.
-    pub fn recycle(self, scratch: &mut SchedScratch) {
+    fn recycle(self, scratch: &mut SchedScratch) {
         scratch.heights = self.heights;
         scratch.start = self.start;
         scratch.fu_of = self.fu_of;
@@ -406,12 +393,8 @@ impl<'a> PlacementEngine<'a> {
     /// out, so the result is the same.
     ///
     /// The engine survives the run (`&mut self`) so its buffers can be
-    /// [recycled](PlacementEngine::recycle) into a [`SchedScratch`].
-    pub fn run<P: ClusterPolicy>(
-        &mut self,
-        budget: u32,
-        policy: &P,
-    ) -> Option<(Vec<u32>, Vec<FuId>)> {
+    /// [recycled](PlacementEngine::recycle) into a `SchedScratch`.
+    fn run<P: ClusterPolicy>(&mut self, budget: u32, policy: &P) -> Option<(Vec<u32>, Vec<FuId>)> {
         // The ranking buffer is lent to the loop (the policy callback already
         // borrows the whole engine mutably) and restored on every exit path.
         let mut ranked = mem::take(&mut self.ranked_buf);
@@ -573,20 +556,9 @@ impl<'a> PlacementEngine<'a> {
 }
 
 /// Runs one scheduling attempt of `ddg` on `machine` at the given II under
-/// `policy`, bounded by `budget` placements.
-pub fn run_placement<P: ClusterPolicy>(
-    ddg: &Ddg,
-    machine: &Machine,
-    ii: u32,
-    budget: u32,
-    policy: &P,
-) -> Option<(Vec<u32>, Vec<FuId>)> {
-    PlacementEngine::new(ddg, machine, ii).run(budget, policy)
-}
-
-/// [`run_placement`] backed by a caller-owned [`SchedScratch`]: repeated
-/// attempts (the II search, a corpus compile) reuse one set of buffers.
-pub fn run_placement_with<P: ClusterPolicy>(
+/// `policy`, bounded by `budget` placements, in `scratch`'s buffers: repeated
+/// attempts (the II search, a corpus compile) reuse one set.
+pub(crate) fn run_placement_with<P: ClusterPolicy>(
     ddg: &Ddg,
     machine: &Machine,
     ii: u32,
@@ -610,6 +582,23 @@ mod tests {
         Machine::single_cluster(fus, 2, 32, LatencyModel::default())
     }
 
+    /// One attempt under plain IMS's policy in fresh buffers.
+    fn run_placement(
+        ddg: &Ddg,
+        machine: &Machine,
+        ii: u32,
+        budget: u32,
+    ) -> Option<(Vec<u32>, Vec<FuId>)> {
+        run_placement_with(
+            ddg,
+            machine,
+            ii,
+            budget,
+            &AnyClusterPolicy,
+            &mut SchedScratch::default(),
+        )
+    }
+
     #[test]
     fn ready_queue_orders_by_height_then_lowest_id() {
         // Three independent adds plus a chain head: the chain head (highest
@@ -620,7 +609,7 @@ mod tests {
         b.flow(ops[1], tail);
         let g = b.finish();
         let m = machine(6);
-        let (start, _) = run_placement(&g, &m, 2, 64, &AnyClusterPolicy).unwrap();
+        let (start, _) = run_placement(&g, &m, 2, 64).unwrap();
         // op1 heads the only chain: scheduled first, at its estart.
         assert_eq!(start[ops[1].index()], 0);
     }
@@ -751,7 +740,7 @@ mod tests {
                 let m = machine(fus);
                 for ii in 1..=6 {
                     assert_eq!(
-                        run_placement(g, &m, ii, budget, &AnyClusterPolicy),
+                        run_placement(g, &m, ii, budget),
                         naive_schedule_at(g, &m, ii, budget),
                         "engine diverges from the naive scan at II {ii} on {fus} FUs"
                     );
@@ -774,7 +763,7 @@ mod tests {
                 let mii = crate::mii::mii(g, &m).unwrap();
                 for ii in crate::mii::rec_mii(g).max(1)..=mii + 1 {
                     for budget in [n, 4 * n, 6 * n, 16 * n] {
-                        let engine = run_placement(g, &m, ii, budget, &AnyClusterPolicy);
+                        let engine = run_placement(g, &m, ii, budget);
                         assert_eq!(
                             engine,
                             naive_schedule_at(g, &m, ii, budget),
@@ -799,7 +788,7 @@ mod tests {
             for fus in [3, 6] {
                 let m = machine(fus);
                 for ii in 1..=5 {
-                    let fresh = run_placement(&lp.ddg, &m, ii, 256, &AnyClusterPolicy);
+                    let fresh = run_placement(&lp.ddg, &m, ii, 256);
                     let reused =
                         run_placement_with(&lp.ddg, &m, ii, 256, &AnyClusterPolicy, &mut scratch);
                     assert_eq!(fresh, reused, "II {ii} on {fus} FUs");
@@ -822,7 +811,7 @@ mod tests {
         let [f0, f1, ..] = *m.fu_ids_of_class(OpClass::Adder) else {
             panic!("six compute units include two adders");
         };
-        let mut e = PlacementEngine::new(&g, &m, 4);
+        let mut e = PlacementEngine::new_in(&g, &m, 4, &mut SchedScratch::default());
         e.save_checkpoint();
         e.place(op, 0, f0);
         e.unschedule(op);
@@ -851,7 +840,7 @@ mod tests {
         b.ops(OpKind::Add, 8);
         let g = b.finish();
         let m = machine(3);
-        assert_eq!(run_placement(&g, &m, 1, 2, &AnyClusterPolicy), None);
+        assert_eq!(run_placement(&g, &m, 1, 2), None);
     }
 
     #[test]
@@ -868,7 +857,7 @@ mod tests {
         b.flow(m1, tail);
         let g = b.finish();
         let m = machine(6);
-        let (start, _) = run_placement(&g, &m, 8, 64, &AnyClusterPolicy).unwrap();
+        let (start, _) = run_placement(&g, &m, 8, 64).unwrap();
         assert_eq!(start[tail.index()] as u64, u32::MAX as u64 - 1);
     }
 }

@@ -1,4 +1,4 @@
-//! Iterative Modulo Scheduling (IMS).
+//! Iterative Modulo Scheduling (IMS) and the II search both schedulers share.
 //!
 //! This is a faithful implementation of B. R. Rau's algorithm (*Iterative Modulo
 //! Scheduling*, IJPP 1996), the scheduler the paper builds on:
@@ -9,13 +9,21 @@
 //!    operation that cannot be placed in any free slot of its scheduling window is
 //!    placed *by force*, evicting the operation(s) that conflict with it, which are
 //!    then re-scheduled later (bounded by a budget of placements).
+//!
+//! Steps 1 and 2 are [`IiSearch`]: it checks the body, computes its bounds and
+//! tries each II of a window under a [`ClusterPolicy`], counting attempts
+//! across windows.  Plain IMS searches one window under [`AnyClusterPolicy`];
+//! the partitioner (`vliw-partition`) searches its ring window and then, if
+//! that fails, its single-cluster collapse.  Both return a [`ScheduleResult`].
+//! Step 3 is the placement engine of [`crate::core`].
 
 use std::cell::RefCell;
+use std::ops::RangeInclusive;
 
 use vliw_ddg::Ddg;
-use vliw_machine::{FuId, Machine};
+use vliw_machine::Machine;
 
-use crate::core::{run_placement_with, AnyClusterPolicy, SchedScratch};
+use crate::core::{run_placement_with, AnyClusterPolicy, ClusterPolicy, SchedScratch};
 use crate::mii::{rec_mii, res_mii};
 use crate::schedule::Schedule;
 use crate::SchedError;
@@ -49,23 +57,26 @@ impl ImsOptions {
     }
 }
 
-/// Outcome of a successful scheduling run.
+/// Outcome of a successful II search, by either scheduler.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ImsResult {
-    /// The schedule found.
+pub struct ScheduleResult {
+    /// The schedule found.  On a clustered machine the cluster of each
+    /// operation is the cluster of its unit.
     pub schedule: Schedule,
-    /// Resource-constrained lower bound.
+    /// Resource-constrained lower bound over the whole machine.
     pub res_mii: u32,
     /// Recurrence-constrained lower bound.
     pub rec_mii: u32,
-    /// `max(ResMII, RecMII)` — the theoretical lower bound on the II.
+    /// The lower bound the schedule was searched from: `max(ResMII, RecMII)`,
+    /// or for a loop the partitioner collapsed to one cluster the larger
+    /// single-cluster bound.
     pub mii: u32,
-    /// Number of II values tried before a schedule was found (1 means the MII was
-    /// achieved on the first attempt).
+    /// Number of II values tried, across every window of the search (1 means
+    /// the first II succeeded).
     pub attempts: u32,
 }
 
-impl ImsResult {
+impl ScheduleResult {
     /// True if the scheduler achieved the theoretical minimum II.
     pub fn achieved_mii(&self) -> bool {
         self.schedule.ii == self.mii.max(1)
@@ -73,69 +84,96 @@ impl ImsResult {
 }
 
 thread_local! {
-    /// Per-thread scratch of the plain entry point.  Session executor workers
-    /// are OS threads, so each worker amortises its own buffers across every
-    /// loop it compiles; explicit `_with` callers never touch this.
-    static IMS_SCRATCH: RefCell<SchedScratch> = RefCell::new(SchedScratch::default());
+    /// Per-thread placement buffers of every II search.  Session executor
+    /// workers are OS threads, so each worker amortises one set across every
+    /// attempt of every loop it compiles, under either scheduler.
+    static SCRATCH: RefCell<SchedScratch> = RefCell::new(SchedScratch::default());
 }
 
-/// Runs iterative modulo scheduling of `ddg` on `machine`.
+/// An II search in progress: the body, its lower bounds and the attempts made
+/// so far across every window tried.
+pub struct IiSearch<'a> {
+    ddg: &'a Ddg,
+    machine: &'a Machine,
+    /// Resource-constrained lower bound over the whole machine.
+    pub res_mii: u32,
+    /// Recurrence-constrained lower bound.
+    pub rec_mii: u32,
+    /// The bound reported with the schedule: `max(ResMII, RecMII)` until a
+    /// caller raises it for a window of its own (the partitioner's collapse).
+    pub mii: u32,
+    /// Attempts made so far.
+    pub attempts: u32,
+}
+
+impl<'a> IiSearch<'a> {
+    /// Checks that `ddg` is a non-empty, well-formed body that `machine` can
+    /// execute, and computes its bounds.
+    pub fn new(ddg: &'a Ddg, machine: &'a Machine) -> Result<Self, SchedError> {
+        if ddg.num_ops() == 0 {
+            return Err(SchedError::EmptyGraph);
+        }
+        SCRATCH
+            .with(|s| ddg.validate_with(&mut s.borrow_mut().validate))
+            .map_err(SchedError::InvalidGraph)?;
+        let res_mii = res_mii(ddg, machine)?;
+        let rec_mii = rec_mii(ddg);
+        Ok(IiSearch { ddg, machine, res_mii, rec_mii, mii: res_mii.max(rec_mii), attempts: 0 })
+    }
+
+    /// Tries each II of `iis` in turn under `policy` and returns the first
+    /// schedule found.  The search's `k`-th attempt, counted from 1 across
+    /// every window, may make `budget(k)` placements.
+    pub fn window<P: ClusterPolicy>(
+        &mut self,
+        iis: RangeInclusive<u32>,
+        budget: impl Fn(u32) -> u32,
+        policy: &P,
+    ) -> Option<ScheduleResult> {
+        SCRATCH.with(|s| {
+            let scratch = &mut *s.borrow_mut();
+            for ii in iis {
+                self.attempts += 1;
+                let placed = run_placement_with(
+                    self.ddg,
+                    self.machine,
+                    ii,
+                    budget(self.attempts),
+                    policy,
+                    scratch,
+                );
+                if let Some((start, fu)) = placed {
+                    let schedule = Schedule::new(ii, start, fu);
+                    debug_assert!(schedule.validate(self.ddg, self.machine).is_ok());
+                    return Some(ScheduleResult {
+                        schedule,
+                        res_mii: self.res_mii,
+                        rec_mii: self.rec_mii,
+                        mii: self.mii,
+                        attempts: self.attempts,
+                    });
+                }
+            }
+            None
+        })
+    }
+}
+
+/// Runs iterative modulo scheduling of `ddg` on `machine`: one window from
+/// the MII (or `opts.min_ii`) up to `opts.max_ii`, by default `2·start + 64`.
 pub fn modulo_schedule(
     ddg: &Ddg,
     machine: &Machine,
     opts: ImsOptions,
-) -> Result<ImsResult, SchedError> {
-    IMS_SCRATCH.with(|s| modulo_schedule_with(ddg, machine, opts, &mut s.borrow_mut()))
-}
-
-/// [`modulo_schedule`] backed by a caller-owned [`SchedScratch`], so every II
-/// attempt after the first reuses the same placement buffers.
-pub fn modulo_schedule_with(
-    ddg: &Ddg,
-    machine: &Machine,
-    opts: ImsOptions,
-    scratch: &mut SchedScratch,
-) -> Result<ImsResult, SchedError> {
+) -> Result<ScheduleResult, SchedError> {
     let _span = vliw_obs::span!("sched/ims", ddg.num_ops());
-    if ddg.num_ops() == 0 {
-        return Err(SchedError::EmptyGraph);
-    }
-    ddg.validate_with(scratch.validate_scratch()).map_err(SchedError::InvalidGraph)?;
-    let res = res_mii(ddg, machine)?;
-    let rec = rec_mii(ddg);
-    let lower = res.max(rec);
-    let start_ii = lower.max(opts.min_ii).max(1);
-    let max_ii = opts.max_ii.unwrap_or(start_ii.saturating_mul(2).saturating_add(64));
+    let mut search = IiSearch::new(ddg, machine)?;
+    let first = search.mii.max(opts.min_ii).max(1);
+    let last = opts.max_ii.unwrap_or(first.saturating_mul(2).saturating_add(64));
     let budget = (ddg.num_ops() as u32).saturating_mul(opts.budget_ratio).max(16);
-
-    let mut attempts = 0;
-    let mut ii = start_ii;
-    while ii <= max_ii {
-        attempts += 1;
-        if let Some((start, fu)) = try_schedule_at(ddg, machine, ii, budget, scratch) {
-            let schedule = Schedule::new(ii, start, fu);
-            debug_assert!(schedule.validate(ddg, machine).is_ok());
-            return Ok(ImsResult { schedule, res_mii: res, rec_mii: rec, mii: lower, attempts });
-        }
-        ii += 1;
-    }
-    Err(SchedError::IiLimitReached { limit: max_ii })
-}
-
-/// One scheduling attempt at a fixed II.  Returns the per-op start times and FU
-/// assignments, or `None` if the placement budget was exhausted.
-///
-/// The placement loop itself (ready queue, window search, forced placement,
-/// eviction, dependence-violation unscheduling) lives in [`crate::core`]; plain
-/// IMS is the engine under the trivial any-cluster policy.
-fn try_schedule_at(
-    ddg: &Ddg,
-    machine: &Machine,
-    ii: u32,
-    budget: u32,
-    scratch: &mut SchedScratch,
-) -> Option<(Vec<u32>, Vec<FuId>)> {
-    run_placement_with(ddg, machine, ii, budget, &AnyClusterPolicy, scratch)
+    search
+        .window(first..=last, |_| budget, &AnyClusterPolicy)
+        .ok_or(SchedError::IiLimitReached { limit: last })
 }
 
 #[cfg(test)]

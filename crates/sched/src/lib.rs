@@ -5,11 +5,17 @@
 //! plus the MII lower bounds (ResMII/RecMII), the height-based priority function,
 //! and the static schedule check ([`Schedule::violations`]).  Its defects, and
 //! every defect the simulator and the verifier find, are [`Violation`]s: one
-//! vocabulary of stable lint codes for the whole stack.  The placement loop itself lives in [`core`]: a
-//! shared engine (ready queue, window search, forced placement, eviction,
-//! dependence-violation unscheduling) parameterised by a [`ClusterPolicy`].  The
-//! clustered *partitioning* extension lives in the `vliw-partition` crate, which
-//! runs the same engine under its ring/affinity policy.
+//! vocabulary of stable lint codes for the whole stack.
+//!
+//! Both schedulers are one II search ([`IiSearch`]) over one placement engine
+//! ([`core`]) and return one [`ScheduleResult`].  The engine runs the placement
+//! loop (ready queue, window search, forced placement, eviction,
+//! dependence-violation unscheduling) under a [`ClusterPolicy`]; the search
+//! checks the body, computes its bounds and tries each II of a window, counting
+//! attempts across windows.  Plain IMS searches one window under the
+//! any-cluster policy.  The clustered *partitioning* extension lives in the
+//! `vliw-partition` crate, which searches a ring window under its ring/affinity
+//! policy and then, if that fails, a single-cluster collapse window.
 //!
 //! ```
 //! use vliw_ddg::{kernels, LatencyModel};
@@ -31,12 +37,9 @@ pub mod priority;
 pub mod schedule;
 pub mod violation;
 
-pub use core::{
-    run_placement, run_placement_with, AnyClusterPolicy, ClusterPolicy, Eligibility,
-    PlacementEngine, SchedScratch,
-};
-pub use ims::{modulo_schedule, modulo_schedule_with, ImsOptions, ImsResult};
-pub use mii::{has_positive_cycle, mii, rec_mii, res_mii};
+pub use core::{AnyClusterPolicy, ClusterPolicy, Eligibility, PlacementEngine};
+pub use ims::{modulo_schedule, IiSearch, ImsOptions, ScheduleResult};
+pub use mii::{has_positive_cycle, mii, rec_mii, res_mii, resource_bound};
 pub use mrt::Mrt;
 pub use priority::{height_r, height_r_into, priority_order};
 pub use schedule::Schedule;

@@ -24,19 +24,32 @@ use crate::SchedError;
 /// Returns an error if the graph uses a functional-unit class of which the machine
 /// has no instance.
 pub fn res_mii(ddg: &Ddg, machine: &Machine) -> Result<u32, SchedError> {
-    let counts = ddg.class_counts();
     let fus = machine.class_counts();
+    resource_bound(&ddg.class_counts(), |class| fus[class.index()])
+        .map_err(|class| SchedError::NoFunctionalUnit { class })
+}
+
+/// The resource bound of `ops[class]` operations per class on `units(class)`
+/// units per class: the largest `⌈ops / units⌉` row over the classes with
+/// operations, and at least 1.  The first class with operations but no unit
+/// is the error.
+///
+/// [`res_mii`] applies it to the whole machine; the partitioner's collapse
+/// and the `vliw-bounds` analyzer apply it to cluster 0 and to a shape.
+pub fn resource_bound(
+    ops: &[usize; OpClass::COUNT],
+    units: impl Fn(OpClass) -> usize,
+) -> Result<u32, OpClass> {
     let mut bound = 1u32;
     for class in OpClass::ALL {
-        let ops = counts[class.index()];
-        if ops == 0 {
+        let n = ops[class.index()];
+        if n == 0 {
             continue;
         }
-        let units = fus[class.index()];
-        if units == 0 {
-            return Err(SchedError::NoFunctionalUnit { class });
+        match units(class) {
+            0 => return Err(class),
+            u => bound = bound.max(u32::try_from(n.div_ceil(u)).unwrap_or(u32::MAX)),
         }
-        bound = bound.max(ops.div_ceil(units) as u32);
     }
     Ok(bound)
 }

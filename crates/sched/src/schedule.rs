@@ -42,16 +42,20 @@ impl Schedule {
         self.fu[op.index()]
     }
 
-    /// Modulo slot (`cycle mod II`) of `op` in the kernel.
+    /// Modulo slot (`cycle mod II`) of `op` in the kernel.  A zero II (which
+    /// [`Schedule::violations`] reports as `V011-ZERO-II`) has no kernel: the
+    /// slot is then the cycle itself and the stage 0, so
+    /// `stage · II + slot = cycle` still holds.
     #[inline]
     pub fn slot_of(&self, op: OpId) -> u32 {
-        self.start[op.index()] % self.ii
+        let cycle = self.start[op.index()];
+        cycle.checked_rem(self.ii).unwrap_or(cycle)
     }
 
-    /// Pipeline stage (`cycle / II`) of `op`.
+    /// Pipeline stage (`cycle / II`) of `op`; 0 at a zero II.
     #[inline]
     pub fn stage_of(&self, op: OpId) -> u32 {
-        self.start[op.index()] / self.ii
+        self.start[op.index()].checked_div(self.ii).unwrap_or(0)
     }
 
     /// Number of operations in the schedule.
@@ -62,11 +66,12 @@ impl Schedule {
     /// Stage count: the number of kernel stages (and hence the number of iterations
     /// simultaneously in flight at steady state).
     ///
-    /// Defined as `⌊max start / II⌋ + 1`.  A higher stage count means a longer
-    /// prologue and epilogue (Section 2 of the paper).
+    /// Defined as `⌊max start / II⌋ + 1` (1 at a zero II, where every stage is
+    /// 0).  A higher stage count means a longer prologue and epilogue
+    /// (Section 2 of the paper).
     pub fn stage_count(&self) -> u32 {
         match self.start.iter().max() {
-            Some(&max) => max / self.ii + 1,
+            Some(&max) => max.checked_div(self.ii).unwrap_or(0) + 1,
             None => 0,
         }
     }
@@ -77,7 +82,7 @@ impl Schedule {
     }
 
     /// Total number of cycles needed to run `trip_count` iterations of the loop:
-    /// `(SC − 1 + N) · II`, i.e. prologue + kernel + epilogue.
+    /// `(SC − 1 + N) · II`, i.e. prologue + kernel + epilogue (0 at a zero II).
     pub fn total_cycles(&self, trip_count: u64) -> u64 {
         if self.start.is_empty() || trip_count == 0 {
             return 0;
@@ -299,6 +304,10 @@ mod tests {
         let s = Schedule { ii: 0, start: vec![0, 2], fu: vec![ls, add] };
         assert_eq!(s.validate(&g, &m), Err(Violation::ZeroIi));
         assert_eq!(s.violations(&g, &m), vec![Violation::ZeroIi]);
+        // The cycle arithmetic is defined too: one stage, each slot its cycle.
+        assert_eq!(s.stage_count(), 1);
+        assert_eq!((s.slot_of(OpId(1)), s.stage_of(OpId(1))), (2, 0));
+        assert_eq!(s.total_cycles(100), 0);
     }
 
     #[test]

@@ -17,7 +17,7 @@ use vliw_sched::rec_mii;
 
 pub mod transform;
 
-pub use transform::{unroll_ddg, unroll_ddg_into, UnrolledLoop};
+pub use transform::{unroll_ddg, UnrolledLoop};
 
 /// Default cap on the unroll factor (the paper's experiments use small factors: the
 /// goal is to saturate a 12–18-FU machine, not to flatten the loop).

@@ -38,18 +38,9 @@ impl UnrolledLoop {
 /// inter-iteration semantics of the original loop exactly (the unrolled loop executes
 /// `factor` original iterations per unrolled iteration).
 pub fn unroll_ddg(ddg: &Ddg, factor: u32) -> UnrolledLoop {
-    let mut out = Ddg::new();
-    unroll_ddg_into(ddg, factor, &mut out);
-    UnrolledLoop { ddg: out, factor, original_ops: ddg.num_ops() }
-}
-
-/// [`unroll_ddg`] into a caller-owned graph (cleared and rebuilt), so a pipeline
-/// that immediately consumes the unrolled body (copy insertion does) can keep one
-/// scratch graph alive instead of allocating and dropping one per loop.
-pub fn unroll_ddg_into(ddg: &Ddg, factor: u32, out: &mut Ddg) {
     assert!(factor >= 1, "unroll factor must be at least 1");
     let n = ddg.num_ops();
-    out.clear_and_reserve(n * factor as usize);
+    let mut out = Ddg::with_capacity(n * factor as usize);
     for k in 0..factor {
         for op in ddg.ops() {
             let id = out.add_op(op.kind);
@@ -67,6 +58,7 @@ pub fn unroll_ddg_into(ddg: &Ddg, factor: u32, out: &mut Ddg) {
         }
     }
     debug_assert!(out.validate().is_ok(), "unrolling produced an invalid graph");
+    UnrolledLoop { ddg: out, factor, original_ops: n }
 }
 
 #[cfg(test)]

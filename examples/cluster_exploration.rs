@@ -9,15 +9,17 @@
 //! For 2–8 clusters the example compares the partitioned schedules against the
 //! equivalent single-cluster machine (same FU mix, one big register file) and also
 //! against the paper's proposed extension (transit moves between non-adjacent
-//! clusters, `PartitionOptions::with_transit_moves`), reproducing the scalability
-//! discussion of Sections 4 and 5.
+//! clusters, modelled as the same clusters on a `Topology::Crossbar`), reproducing
+//! the scalability discussion of Sections 4 and 5.
 
 use vliw_core::analysis::{fraction, mean, pct, TextTable};
-use vliw_core::experiments::{par_map, ExperimentConfig};
+use vliw_core::experiments::ExperimentConfig;
+use vliw_core::partition::comm_stats;
 use vliw_core::qrf::insert_copies;
 use vliw_core::sched::{modulo_schedule, ImsOptions};
+use vliw_core::session::par_map_indexed;
 use vliw_core::unroll::unroll_for_machine;
-use vliw_core::{partition_schedule, LatencyModel, Machine, PartitionOptions};
+use vliw_core::{partition_schedule, LatencyModel, Machine, PartitionOptions, Topology};
 
 fn main() {
     let loops: usize = std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(200);
@@ -36,6 +38,7 @@ fn main() {
 
     for clusters in 2..=8usize {
         let clustered = Machine::paper_clustered(clusters, lat);
+        let crossbar = clustered.clone().with_topology(Topology::Crossbar);
         let single = Machine::paper_single_cluster_equivalent(clusters, lat);
 
         #[derive(Clone, Copy)]
@@ -46,24 +49,19 @@ fn main() {
             cross_fraction: f64,
         }
 
-        let samples: Vec<Sample> = par_map(&corpus, cfg.threads, |lp| {
+        let samples: Vec<Sample> = par_map_indexed(corpus.len(), cfg.threads, |i| {
             // Same preparation for all machines: unroll for the clustered machine's
             // width, then insert copies.
-            let unrolled = unroll_for_machine(lp, &clustered, 4);
+            let unrolled = unroll_for_machine(&corpus[i], &clustered, 4);
             let body = insert_copies(&unrolled.ddg, &lat).ddg;
             let s = modulo_schedule(&body, &single, ImsOptions::default()).ok()?;
             let ring = partition_schedule(&body, &clustered, PartitionOptions::default()).ok()?;
-            let transit = partition_schedule(
-                &body,
-                &clustered,
-                PartitionOptions::default().with_transit_moves(),
-            )
-            .ok()?;
+            let transit = partition_schedule(&body, &crossbar, PartitionOptions::default()).ok()?;
             Some(Sample {
                 single_ii: s.schedule.ii,
                 ring_ii: ring.schedule.ii,
                 transit_ii: transit.schedule.ii,
-                cross_fraction: ring.comm.cross_fraction(),
+                cross_fraction: comm_stats(&body, &clustered, &ring.schedule).cross_fraction(),
             })
         })
         .into_iter()

@@ -7,8 +7,9 @@
 //! ```
 
 use vliw_core::analysis::{mean, pct, TextTable};
-use vliw_core::experiments::{par_map, ExperimentConfig};
+use vliw_core::experiments::ExperimentConfig;
 use vliw_core::machine::copy_units_for;
+use vliw_core::session::par_map_indexed;
 use vliw_core::{Compiler, CompilerConfig, LatencyModel, Machine};
 
 fn main() {
@@ -45,10 +46,11 @@ fn main() {
     for machine in machines {
         let name = machine.name().to_string();
         let compiler = Compiler::new(CompilerConfig::paper_defaults(machine));
-        let results: Vec<_> = par_map(&corpus, cfg.threads, |lp| compiler.compile(lp).ok())
-            .into_iter()
-            .flatten()
-            .collect();
+        let results: Vec<_> =
+            par_map_indexed(corpus.len(), cfg.threads, |i| compiler.compile(&corpus[i]).ok())
+                .into_iter()
+                .flatten()
+                .collect();
         let f = |extract: &dyn Fn(&vliw_core::Compilation) -> f64| {
             mean(&results.iter().map(extract).collect::<Vec<_>>())
         };

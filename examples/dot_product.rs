@@ -14,6 +14,7 @@
 
 use vliw_core::analysis::{dynamic_ipc, static_ipc};
 use vliw_core::ddg::{DdgBuilder, OpKind};
+use vliw_core::partition::comm_stats;
 use vliw_core::qrf::{
     allocate_queues, conventional_registers_required, insert_copies, use_lifetimes,
 };
@@ -75,13 +76,14 @@ fn main() {
     // ---- 4. Partitioned schedule on the clustered machine. ----------------------
     let clustered = Machine::paper_clustered(4, lat);
     let part = partition_schedule(&rewritten.ddg, &clustered, PartitionOptions::default()).unwrap();
+    let comm = comm_stats(&rewritten.ddg, &clustered, &part.schedule);
     println!(
         "clustered (4 x 3 FUs): II = {} (single-cluster II was {}), {} values cross clusters, \
          fits the Fig. 7 cluster: {}",
         part.schedule.ii,
         ims_q.schedule.ii,
-        part.comm.cross_cluster_values,
-        part.comm.fits_cluster_budget(8, 8, 8)
+        comm.cross_cluster_values,
+        comm.fits_pools(&clustered)
     );
     for op in rewritten.ddg.ops() {
         println!(

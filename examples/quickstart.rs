@@ -51,7 +51,7 @@ fn main() {
             "inter-cluster values : {} ({} stay local)",
             comm.cross_cluster_values, comm.local_values
         );
-        println!("fits Fig. 7 cluster  : {}", comm.fits_cluster_budget(8, 8, 8));
+        println!("fits Fig. 7 cluster  : {}", comm.fits_pools(&compiler.config().machine));
     }
 
     // Per-operation placement.

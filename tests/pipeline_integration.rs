@@ -158,6 +158,6 @@ fn hand_written_kernels_behave_like_the_paper_examples() {
         assert!(c.ii() >= 1 && c.ii() <= 16, "{}: implausible II {}", lp.name, c.ii());
         assert!(c.queues_required() <= 32, "{}", lp.name);
         let comm = c.comm.unwrap();
-        assert!(comm.fits_cluster_budget(8, 8, 8), "{}", lp.name);
+        assert!(comm.fits_pools(&compiler.config().machine), "{}", lp.name);
     }
 }

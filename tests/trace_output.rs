@@ -3,8 +3,9 @@
 //! The first test drives a traced compile/simulate/verify workload and checks
 //! that [`vliw_core::obs::chrome_trace`] emits structurally valid Chrome
 //! `trace_event` JSON: every record carries the required keys, `ts` is
-//! monotone non-decreasing within each `tid`, and `B`/`E` marks pair up with
-//! proper stack discipline.  The second holds the sweep driver's own spans
+//! monotone non-decreasing within each `tid`, `B`/`E` marks pair up with
+//! proper stack discipline, and no queue allocation opens inside the
+//! partitioner (the pipeline allocates after scheduling, never within it).  The second holds the sweep driver's own spans
 //! (`sweep/aggregate`, `sweep/pareto`) to the same discipline, and to never
 //! enclosing a pipeline stage.  The third is a property test of the
 //! tracing layer's core promise — enabling tracing never changes what an
@@ -19,7 +20,7 @@ use serde_json::Value;
 use vliw_core::experiments::{Classify, ExperimentRequest};
 use vliw_core::obs::{self, Stage};
 use vliw_core::pipeline::CompilerConfig;
-use vliw_core::{Machine, Session, SweepGrid};
+use vliw_core::{LatencyModel, Machine, Session, SweepGrid};
 
 /// The recording flag and event buffers are process-global and `cargo test`
 /// races tests across threads, so every test that flips tracing holds this.
@@ -30,9 +31,13 @@ fn gate() -> MutexGuard<'static, ()> {
 }
 
 /// A small workload touching every in-process stage family: corpus
-/// generation, a parallel compile sweep, simulation and verification.
+/// generation, a parallel compile sweep on a single-cluster and a clustered
+/// machine, simulation and verification.
 fn run_workload(loops: usize, seed: u64) {
     let session = Session::quick(loops, seed);
+    let clustered = Machine::paper_clustered(4, LatencyModel::default());
+    let clustered = session.compiler(CompilerConfig::paper_defaults(clustered));
+    session.sweep(|i, _| clustered.compile(i).is_ok());
     let compiler = session.compiler(CompilerConfig::paper_defaults(Machine::paper_single(6)));
     session.sweep(|i, _| compiler.compile(i).is_ok());
     for i in 0..loops {
@@ -109,6 +114,10 @@ fn chrome_trace_export_is_valid_trace_event_json() {
                 *watermark = ts;
                 let stack = stacks.entry(tid).or_default();
                 if ph == "B" {
+                    assert!(
+                        name != "qrf/alloc" || !stack.iter().any(|s| s == "sched/partition"),
+                        "qrf/alloc opened inside sched/partition on tid {tid}: {stack:?}"
+                    );
                     begun_stages.insert(name.to_string());
                     stack.push(name.to_string());
                 } else {
@@ -127,7 +136,7 @@ fn chrome_trace_export_is_valid_trace_event_json() {
     for tid in &seen_tids {
         assert!(named_tids.contains(tid), "tid {tid} records spans but has no thread_name");
     }
-    for stage in ["corpusgen", "sched/ims", "qrf/alloc", "sim", "verify"] {
+    for stage in ["corpusgen", "sched/ims", "sched/partition", "qrf/alloc", "sim", "verify"] {
         assert!(begun_stages.contains(stage), "stage `{stage}` missing from {begun_stages:?}");
     }
 
