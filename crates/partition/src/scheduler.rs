@@ -12,7 +12,7 @@
 //! exhausted the II is increased.
 //!
 //! The search is `vliw_sched`'s [`IiSearch`], run over two windows: the ring
-//! window, then, if no II of it partitions, the single-cluster [`collapse`].
+//! window, then, if no II of it partitions, the single-cluster `collapse`.
 //! The partitioner allocates no storage: the pipeline derives the
 //! communication statistics ([`crate::comm_stats`]) from the schedule.
 

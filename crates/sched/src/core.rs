@@ -583,7 +583,7 @@ mod tests {
     }
 
     /// One attempt under plain IMS's policy in fresh buffers.
-    fn run_placement(
+    fn fresh_attempt(
         ddg: &Ddg,
         machine: &Machine,
         ii: u32,
@@ -609,7 +609,7 @@ mod tests {
         b.flow(ops[1], tail);
         let g = b.finish();
         let m = machine(6);
-        let (start, _) = run_placement(&g, &m, 2, 64).unwrap();
+        let (start, _) = fresh_attempt(&g, &m, 2, 64).unwrap();
         // op1 heads the only chain: scheduled first, at its estart.
         assert_eq!(start[ops[1].index()], 0);
     }
@@ -740,7 +740,7 @@ mod tests {
                 let m = machine(fus);
                 for ii in 1..=6 {
                     assert_eq!(
-                        run_placement(g, &m, ii, budget),
+                        fresh_attempt(g, &m, ii, budget),
                         naive_schedule_at(g, &m, ii, budget),
                         "engine diverges from the naive scan at II {ii} on {fus} FUs"
                     );
@@ -763,7 +763,7 @@ mod tests {
                 let mii = crate::mii::mii(g, &m).unwrap();
                 for ii in crate::mii::rec_mii(g).max(1)..=mii + 1 {
                     for budget in [n, 4 * n, 6 * n, 16 * n] {
-                        let engine = run_placement(g, &m, ii, budget);
+                        let engine = fresh_attempt(g, &m, ii, budget);
                         assert_eq!(
                             engine,
                             naive_schedule_at(g, &m, ii, budget),
@@ -788,7 +788,7 @@ mod tests {
             for fus in [3, 6] {
                 let m = machine(fus);
                 for ii in 1..=5 {
-                    let fresh = run_placement(&lp.ddg, &m, ii, 256);
+                    let fresh = fresh_attempt(&lp.ddg, &m, ii, 256);
                     let reused =
                         run_placement_with(&lp.ddg, &m, ii, 256, &AnyClusterPolicy, &mut scratch);
                     assert_eq!(fresh, reused, "II {ii} on {fus} FUs");
@@ -840,7 +840,7 @@ mod tests {
         b.ops(OpKind::Add, 8);
         let g = b.finish();
         let m = machine(3);
-        assert_eq!(run_placement(&g, &m, 1, 2), None);
+        assert_eq!(fresh_attempt(&g, &m, 1, 2), None);
     }
 
     #[test]
@@ -857,7 +857,7 @@ mod tests {
         b.flow(m1, tail);
         let g = b.finish();
         let m = machine(6);
-        let (start, _) = run_placement(&g, &m, 8, 64).unwrap();
+        let (start, _) = fresh_attempt(&g, &m, 8, 64).unwrap();
         assert_eq!(start[tail.index()] as u64, u32::MAX as u64 - 1);
     }
 }

@@ -95,15 +95,13 @@ thread_local! {
 pub struct IiSearch<'a> {
     ddg: &'a Ddg,
     machine: &'a Machine,
-    /// Resource-constrained lower bound over the whole machine.
-    pub res_mii: u32,
+    res_mii: u32,
     /// Recurrence-constrained lower bound.
     pub rec_mii: u32,
     /// The bound reported with the schedule: `max(ResMII, RecMII)` until a
     /// caller raises it for a window of its own (the partitioner's collapse).
     pub mii: u32,
-    /// Attempts made so far.
-    pub attempts: u32,
+    attempts: u32,
 }
 
 impl<'a> IiSearch<'a> {
