@@ -130,28 +130,36 @@ impl Deserialize for SweepRow {
 /// strict.
 ///
 /// Computed as the maxima of a set of 2-D vectors (Kung, Luccio & Preparata
-/// 1975) in `O(n log n)`: the rows are sorted by shape, then storage ascending,
-/// then clean fraction descending, and each shape is walked once, carrying the
-/// best clean fraction seen at strictly smaller storage.  A row is dominated
-/// iff that best reaches its fraction, or a row of equal storage (the first of
-/// its storage tier) has a strictly higher one; equal rows never dominate each
-/// other.  Fractions are finite (counts over the corpus size).
+/// 1975) in `O(n log n)`: the rows are bucketed by shape (a shape is hashed
+/// once per run of same-shape rows, and a sweep's rows come in one run per
+/// shape), each bucket is sorted by storage ascending, then clean fraction
+/// descending, and walked once, carrying the best clean fraction seen at
+/// strictly smaller storage.  A row is dominated iff that best reaches its
+/// fraction, or a row of equal storage (the first of its storage tier) has a
+/// strictly higher one; equal rows never dominate each other.  Fractions are
+/// finite (counts over the corpus size).
 pub fn mark_pareto(rows: &mut [SweepRow]) {
+    let mut shapes: Vec<Vec<(u64, f64, usize)>> = Vec::new();
     let mut shape_ids: HashMap<(usize, &str, &str), usize> = HashMap::new();
-    let mut keys: Vec<(usize, u64, f64, usize)> = rows
-        .iter()
-        .enumerate()
-        .map(|(i, row)| {
-            let next = shape_ids.len();
-            (*shape_ids.entry(row.shape()).or_insert(next), row.storage_bits, row.frac_clean, i)
-        })
-        .collect();
-    keys.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)).then(b.2.total_cmp(&a.2)));
-    for shape in keys.chunk_by(|a, b| a.0 == b.0) {
+    let mut run = None;
+    for (i, row) in rows.iter().enumerate() {
+        let shape = row.shape();
+        let id = match run {
+            Some((prev, id)) if prev == shape => id,
+            _ => *shape_ids.entry(shape).or_insert_with(|| {
+                shapes.push(Vec::new());
+                shapes.len() - 1
+            }),
+        };
+        run = Some((shape, id));
+        shapes[id].push((row.storage_bits, row.frac_clean, i));
+    }
+    for shape in &mut shapes {
+        shape.sort_unstable_by(|a, b| a.0.cmp(&b.0).then(b.1.total_cmp(&a.1)));
         let mut best_cheaper: Option<f64> = None;
-        for tier in shape.chunk_by(|a, b| a.1 == b.1) {
-            let top = tier[0].2;
-            for &(_, _, frac, i) in tier {
+        for tier in shape.chunk_by(|a, b| a.0 == b.0) {
+            let top = tier[0].1;
+            for &(_, frac, i) in tier {
                 rows[i].pareto = !(best_cheaper.is_some_and(|best| best >= frac) || top > frac);
             }
             best_cheaper = Some(best_cheaper.map_or(top, |best| best.max(top)));

@@ -13,7 +13,8 @@
 //! trajectory of the repo.
 //!
 //! Probes are named `group/probe`: `scheduler_micro/` (one pass over the
-//! kernel set), `placement/` (the bare schedulers over the bench corpus),
+//! kernel set), `placement/` (the bare schedulers over the bench corpus, and
+//! the partitioner over the huge grid's probe machines),
 //! `session/`, `sweep_grid/` and `sweep/` (the memo store and sweep driver),
 //! `report/` (the JSON encoder) and `figures/<request>_cold` (each `figures
 //! all` request on a fresh session), so EXPERIMENTS.md tables and the trend
@@ -27,9 +28,10 @@ use vliw_core::experiments::{pruned_sweep_experiment_with, Classify, ExperimentC
 use vliw_core::pipeline::CompilerConfig;
 use vliw_core::qrf::{allocate_queues, insert_copies, use_lifetimes};
 use vliw_core::sched::{mii, modulo_schedule, ImsOptions};
-use vliw_core::unroll::unroll_ddg;
+use vliw_core::unroll::{unroll_ddg, DEFAULT_MAX_FACTOR};
 use vliw_core::{
-    kernels, partition_schedule, LatencyModel, Machine, PartitionOptions, Session, SweepGrid,
+    kernels, partition_schedule, select_unroll_factor, LatencyModel, Machine, PartitionOptions,
+    Session, SweepGrid,
 };
 
 use crate::{bench_config, requests_for, RunConfig, Selection, BENCH_CORPUS_LOOPS, BENCH_SEED};
@@ -165,6 +167,37 @@ pub fn collect() -> PerfReport {
             .iter()
             .map(|g| {
                 partition_schedule(g, &clustered, PartitionOptions::default()).unwrap().schedule.ii
+            })
+            .sum::<u32>()
+    }));
+
+    // The partitioner alone on the huge sweep grid's 60 probe machines (2–16
+    // clusters, both FU mixes, ring, torus and crossbar), over the bodies the
+    // pipeline schedules for the 8-loop corpus on each: the shapes the
+    // paper-machine probes never reach.
+    let corpus_8 = ExperimentConfig::quick(8, BENCH_SEED).corpus();
+    let mut huge_configs = SweepGrid::Huge.space().configs();
+    huge_configs.dedup_by_key(|c| c.shape());
+    let huge_shapes: Vec<(Machine, Vec<_>)> = huge_configs
+        .iter()
+        .map(|config| {
+            let machine = config.probe_machine(lat);
+            let bodies = corpus_8
+                .iter()
+                .map(|lp| {
+                    let factor = select_unroll_factor(&lp.ddg, &machine, DEFAULT_MAX_FACTOR);
+                    insert_copies(&unroll_ddg(&lp.ddg, factor).ddg, &lat).ddg
+                })
+                .collect();
+            (machine, bodies)
+        })
+        .collect();
+    probes.push(time_probe("placement/partition_huge_shapes", 3, 500, || {
+        huge_shapes
+            .iter()
+            .flat_map(|(machine, bodies)| bodies.iter().map(move |g| (machine, g)))
+            .map(|(machine, g)| {
+                partition_schedule(g, machine, PartitionOptions::default()).unwrap().schedule.ii
             })
             .sum::<u32>()
     }));

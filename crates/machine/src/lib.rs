@@ -39,7 +39,7 @@ pub use cluster::{ClusterConfig, RingConfig};
 pub use fu::{ClusterId, Fu, FuId};
 pub use machine::{copy_units_for, LinkTable, Machine};
 pub use space::{FuMix, MachineConfig, MachineSpace, SweepGrid, VALUE_BITS};
-pub use topology::{torus_rows, Topology};
+pub use topology::{torus_rows, NeighbourMasks, Topology};
 
 // Re-export the latency model so downstream crates need not depend on vliw-ddg just
 // to configure a machine.

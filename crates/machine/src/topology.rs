@@ -19,7 +19,9 @@
 /// The inter-cluster interconnect of a clustered machine.
 ///
 /// Adjacency is what the partitioner, the simulator and the verifier consult
-/// (all through [`crate::Machine::clusters_communicate`]); the directed links
+/// (the simulator and the verifier through
+/// [`crate::Machine::clusters_communicate`], the partitioner as
+/// [`Topology::neighbour_masks`]); the directed links
 /// ([`crate::Machine::link_table`]) are the storage pools a cross-cluster value
 /// occupies, and their number is what the sweep's storage accounting charges
 /// for.
@@ -76,6 +78,48 @@ impl Topology {
         }
     }
 
+    /// The adjacency relation of an `n`-cluster machine of this topology as
+    /// bit rows: bit `b` of row `a` is set iff `a == b` or
+    /// [`Topology::adjacent`]`(a, b, n)`, i.e. iff a value made in `a` may be
+    /// read in `b`.
+    ///
+    /// Built from each topology's closed form (the torus factorised once), not
+    /// from one `adjacent` call per pair: the partitioner builds the masks on
+    /// every call, and a typical call places a loop in a few microseconds.
+    pub fn neighbour_masks(self, n: usize) -> NeighbourMasks {
+        let words = n.div_ceil(64);
+        let mut masks = NeighbourMasks { words, bits: vec![0; n * words] };
+        match self {
+            Topology::Ring => {
+                for a in 0..n {
+                    masks.insert(a, a);
+                    masks.insert(a, (a + 1) % n);
+                    masks.insert(a, (a + n - 1) % n);
+                }
+            }
+            Topology::Torus => {
+                let rows = torus_rows(n);
+                let cols = n / rows;
+                for a in 0..n {
+                    let (r, c) = (a / cols, a % cols);
+                    masks.insert(a, a);
+                    masks.insert(a, r * cols + (c + 1) % cols);
+                    masks.insert(a, r * cols + (c + cols - 1) % cols);
+                    masks.insert(a, (r + 1) % rows * cols + c);
+                    masks.insert(a, (r + rows - 1) % rows * cols + c);
+                }
+            }
+            Topology::Crossbar => {
+                for a in 0..n {
+                    for b in 0..n {
+                        masks.insert(a, b);
+                    }
+                }
+            }
+        }
+        masks
+    }
+
     /// Number of directed links of an `n`-cluster machine of this topology —
     /// the ordered adjacent pairs, each sized like one directed ring link.
     ///
@@ -129,6 +173,40 @@ impl Topology {
             .flat_map(|a| (0..n).map(move |b| (a, b)))
             .filter(|&(a, b)| a != b && self.adjacent(a, b, n))
             .count()
+    }
+}
+
+/// An interconnect's adjacency relation as one bit row per cluster, built by
+/// [`Topology::neighbour_masks`]: `⌈n/64⌉` words per row, bit `b` of row `a`
+/// set iff a value made in cluster `a` may be read in cluster `b` (`a` itself
+/// included).  The relation is symmetric, so row `a` is also the set of
+/// clusters whose values `a` may read: ANDing the rows of an operation's placed
+/// producers and consumers gives the clusters that may host it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct NeighbourMasks {
+    words: usize,
+    bits: Vec<u64>,
+}
+
+impl NeighbourMasks {
+    /// Words per row: `⌈n/64⌉`.
+    pub fn words(&self) -> usize {
+        self.words
+    }
+
+    /// The row of cluster `a`: bit `b` of word `b / 64` is set iff a value
+    /// made in `a` may be read in `b`.
+    pub fn row(&self, a: usize) -> &[u64] {
+        &self.bits[a * self.words..(a + 1) * self.words]
+    }
+
+    /// True if a value made in cluster `a` may be read in cluster `b`.
+    pub fn contains(&self, a: usize, b: usize) -> bool {
+        self.bits[a * self.words + b / 64] >> (b % 64) & 1 == 1
+    }
+
+    fn insert(&mut self, a: usize, b: usize) {
+        self.bits[a * self.words + b / 64] |= 1 << (b % 64);
     }
 }
 
@@ -305,6 +383,34 @@ mod tests {
         // The 2×2 torus: cluster 0 reaches 1 (its row) and 2 (its column).
         assert_eq!(Topology::Torus.links(4)[..2], [(0, 1), (0, 2)]);
         assert_eq!(Topology::Crossbar.links(4)[..3], [(0, 1), (0, 3), (0, 2)]);
+    }
+
+    #[test]
+    fn neighbour_masks_are_the_adjacency_relation() {
+        // Past one and two words per row, so every word boundary is crossed.
+        for t in Topology::ALL {
+            for n in 0..=130usize {
+                let masks = t.neighbour_masks(n);
+                assert_eq!(masks.words(), n.div_ceil(64), "{t} n={n}");
+                for a in 0..n {
+                    assert_eq!(masks.row(a).len(), masks.words(), "{t} n={n} a={a}");
+                    // No bit past the last cluster.
+                    let set: u32 = masks.row(a).iter().map(|w| w.count_ones()).sum();
+                    let expected = (0..n).filter(|&b| masks.contains(a, b)).count();
+                    assert_eq!(set as usize, expected, "{t} n={n} a={a}");
+                    for b in 0..n {
+                        assert_eq!(
+                            masks.contains(a, b),
+                            a == b || t.adjacent(a, b, n),
+                            "{t} n={n} a={a} b={b}"
+                        );
+                        // The partitioner ANDs producers' and consumers' rows
+                        // alike, which holds only for a symmetric relation.
+                        assert_eq!(masks.contains(a, b), masks.contains(b, a), "{t} n={n}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

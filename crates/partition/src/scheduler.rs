@@ -5,7 +5,10 @@
 //! constraint is the ring topology: a value produced in cluster `i` can only be
 //! consumed in cluster `i`, `i − 1` or `i + 1` (there are no transit moves between
 //! non-adjacent clusters — the paper lists those as future work; a torus or
-//! crossbar machine widens what `Machine::clusters_communicate` admits instead).
+//! crossbar machine widens the adjacency relation instead).  The ring policy
+//! reads that relation from the machine's [`NeighbourMasks`], built once per
+//! call: the clusters that may host an operation are the AND of its placed
+//! flow neighbours' rows.
 //! When an operation cannot be placed in any cluster compatible with its
 //! already-placed neighbours, the blocking neighbours are unscheduled
 //! (backtracking) and the search continues; when the placement budget is
@@ -17,23 +20,27 @@
 //! communication statistics ([`crate::comm_stats`]) from the schedule.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
 
 use vliw_ddg::{Ddg, DepKind, OpId};
-use vliw_machine::{ClusterId, Machine};
+use vliw_machine::{ClusterId, Machine, NeighbourMasks};
 use vliw_sched::{
     resource_bound, ClusterPolicy, Eligibility, IiSearch, PlacementEngine, SchedError,
     ScheduleResult,
 };
 
-/// Reusable work-lists of the ring policy: the placed producer/consumer
-/// clusters of the operation being ranked and the affinity-sorted cluster
-/// ranking.  One triple is rebuilt for **every** placement, so reusing the
-/// buffers removes three allocations per placed operation.
+/// Reusable work-lists of the ring policy, rebuilt for **every** placement:
+/// reusing the buffers removes their allocations per placed operation.
 #[derive(Debug, Default)]
 struct RingLists {
-    producers: Vec<ClusterId>,
-    consumers: Vec<ClusterId>,
-    all: Vec<ClusterId>,
+    /// Clusters of the placed flow neighbours (producers and consumers) of
+    /// the operation being ranked, one entry per flow edge.
+    neighbours: Vec<ClusterId>,
+    /// Entries of `neighbours` per cluster: the affinity ranking key.
+    affinity: Vec<u32>,
+    /// The AND of the neighbours' mask rows: the clusters every placed
+    /// neighbour can exchange values with.
+    feasible: Vec<u64>,
 }
 
 thread_local! {
@@ -89,10 +96,10 @@ pub fn partition_schedule(
     // Later attempts get a larger backtracking budget: communication conflicts
     // can require unscheduling the same operations several times before the
     // placement converges.
-    let ring = RingPolicy { restrict_to: None };
+    let ring = RingPolicy::new(machine);
     match search.window(first..=last, |k| base_budget.saturating_mul(k.min(8)), &ring) {
         Some(result) => Ok(result),
-        None => collapse(ddg, machine, &mut search, opts.min_ii, base_budget),
+        None => collapse(ddg, machine, &mut search, opts.min_ii, base_budget, ring),
     }
 }
 
@@ -111,6 +118,7 @@ fn collapse(
     search: &mut IiSearch<'_>,
     min_ii: u32,
     base_budget: u32,
+    ring: RingPolicy,
 ) -> Result<ScheduleResult, SchedError> {
     let cluster = ClusterId(0);
     let units = |class| machine.fu_ids_of_class_in_cluster(cluster, class).len();
@@ -120,8 +128,9 @@ fn collapse(
     search.mii = search.mii.max(lower);
     let last = lower.saturating_mul(3).saturating_add(64);
     let budget = base_budget.saturating_mul(8);
+    let policy = RingPolicy { restrict_to: Some(cluster), ..ring };
     search
-        .window(lower.max(min_ii)..=last, |_| budget, &RingPolicy { restrict_to: Some(cluster) })
+        .window(lower.max(min_ii)..=last, |_| budget, &policy)
         .ok_or(SchedError::IiLimitReached { limit: last })
 }
 
@@ -131,8 +140,8 @@ fn collapse(
 /// Clusters are ranked by affinity (more already-placed flow neighbours is
 /// better), then by load (fewer placed operations is better), then by id, and
 /// filtered down to those that can exchange values with every placed neighbour
-/// over the ring.  When no cluster qualifies, the policy backtracks: it picks
-/// the cluster sacrificing the fewest placed neighbours, unschedules the
+/// over the interconnect.  When no cluster qualifies, the policy backtracks: it
+/// picks the cluster sacrificing the fewest placed neighbours, unschedules the
 /// incompatible ones through the engine, and restricts the placement to that
 /// cluster.
 ///
@@ -141,6 +150,8 @@ fn collapse(
 /// it never escapes to another cluster, which used to break the "collapsed
 /// schedules are single-cluster" invariant.
 struct RingPolicy {
+    /// The machine's adjacency relation, the only one the policy consults.
+    masks: NeighbourMasks,
     /// Place every operation in this cluster (the single-cluster collapse).
     restrict_to: Option<ClusterId>,
 }
@@ -155,12 +166,20 @@ impl ClusterPolicy for RingPolicy {
         RING_LISTS.with(|lists| self.rank(engine, op, ranked, &mut lists.borrow_mut()))
     }
 
-    fn comm_violated(&self, machine: &Machine, from: ClusterId, to: ClusterId) -> bool {
-        !machine.clusters_communicate(from, to)
+    fn comm_violated(&self, from: ClusterId, to: ClusterId) -> bool {
+        !self.masks.contains(from.index(), to.index())
     }
 }
 
 impl RingPolicy {
+    /// The policy over `machine`'s whole interconnect.
+    fn new(machine: &Machine) -> Self {
+        RingPolicy {
+            masks: machine.topology().neighbour_masks(machine.num_clusters()),
+            restrict_to: None,
+        }
+    }
+
     /// [`ClusterPolicy::eligible`] over the borrowed work-lists.
     fn rank(
         &self,
@@ -169,64 +188,67 @@ impl RingPolicy {
         ranked: &mut Vec<ClusterId>,
         lists: &mut RingLists,
     ) -> Eligibility {
-        let machine = engine.machine();
         let ddg = engine.ddg();
-        let RingLists { producers, consumers, all } = lists;
+        let masks = &self.masks;
+        let RingLists { neighbours, affinity, feasible } = lists;
 
-        // Placed flow neighbours and the communication constraints they impose:
-        // `producers` must be able to send to op's cluster; op must be able to
-        // send to `consumers`.
-        producers.clear();
-        producers.extend(
+        // Placed flow neighbours.  Adjacency is symmetric, so a producer's row
+        // holds the clusters it can send to and a consumer's row those it can
+        // receive from: both constrain op's cluster to their row.
+        neighbours.clear();
+        neighbours.extend(
             ddg.pred_edges(op)
                 .filter(|e| e.kind == DepKind::Flow && e.src != op)
                 .filter_map(|e| engine.cluster_of(e.src)),
         );
-        consumers.clear();
-        consumers.extend(
+        neighbours.extend(
             ddg.succ_edges(op)
                 .filter(|e| e.kind == DepKind::Flow && e.dst != op)
                 .filter_map(|e| engine.cluster_of(e.dst)),
         );
-
-        let comm_ok = |c: ClusterId| -> bool {
-            producers.iter().all(|&p| machine.clusters_communicate(p, c))
-                && consumers.iter().all(|&s| machine.clusters_communicate(c, s))
-        };
-
-        // Rank every cluster by affinity, then load, then id; keep only the
-        // communication-feasible ones.
-        all.clear();
-        match self.restrict_to {
-            Some(c) => all.push(c),
-            None => all.extend(machine.cluster_ids()),
+        affinity.clear();
+        affinity.resize(engine.machine().num_clusters(), 0);
+        feasible.clear();
+        feasible.resize(masks.words(), !0);
+        for &c in neighbours.iter() {
+            affinity[c.index()] += 1;
+            for (f, &r) in feasible.iter_mut().zip(masks.row(c.index())) {
+                *f &= r;
+            }
         }
-        all.sort_by_key(|&c| {
-            let affinity = producers.iter().filter(|&&p| p == c).count()
-                + consumers.iter().filter(|&&s| s == c).count();
-            (std::cmp::Reverse(affinity), engine.cluster_load(c), c.0)
-        });
-        ranked.extend(all.iter().copied().filter(|&c| comm_ok(c)));
+
+        // Rank the candidate clusters by affinity, then load, then id (a
+        // total order); keep only the communication-feasible ones.
+        let candidates = match self.restrict_to {
+            Some(c) => c.0..c.0 + 1,
+            None => 0..affinity.len() as u32,
+        };
+        let key = |c: ClusterId| (Reverse(affinity[c.index()]), engine.cluster_load(c), c.0);
+        ranked.extend(
+            candidates
+                .clone()
+                .map(ClusterId)
+                .filter(|c| feasible[c.index() / 64] >> (c.index() % 64) & 1 == 1),
+        );
+        ranked.sort_unstable_by_key(|&c| key(c));
 
         // Communication conflict: no cluster can talk to all placed neighbours.
         // Backtrack by unscheduling the neighbours that are incompatible with
         // the chosen target cluster, then schedule `op` there.  The target is
-        // the cluster that sacrifices the fewest already-placed neighbours
-        // (ties broken by the affinity ranking above).
+        // the candidate that sacrifices the fewest already-placed neighbours
+        // (ties broken by the ranking above).
         if ranked.is_empty() {
-            let conflicts = |c: ClusterId| -> usize {
-                producers.iter().filter(|&&p| !machine.clusters_communicate(p, c)).count()
-                    + consumers.iter().filter(|&&s| !machine.clusters_communicate(c, s)).count()
+            let conflicts = |c: ClusterId| {
+                neighbours.iter().filter(|n| !masks.contains(n.index(), c.index())).count()
             };
-            let target = all
-                .iter()
-                .copied()
-                .min_by_key(|&c| (conflicts(c), all.iter().position(|&r| r == c).unwrap()))
+            let target = candidates
+                .map(ClusterId)
+                .min_by_key(|&c| (conflicts(c), key(c)))
                 .expect("machines have at least one cluster");
             for e in ddg.pred_edges(op) {
                 if e.kind == DepKind::Flow && e.src != op {
                     if let Some(c) = engine.cluster_of(e.src) {
-                        if !machine.clusters_communicate(c, target) {
+                        if !masks.contains(c.index(), target.index()) {
                             engine.unschedule(e.src);
                         }
                     }
@@ -235,7 +257,7 @@ impl RingPolicy {
             for e in ddg.succ_edges(op) {
                 if e.kind == DepKind::Flow && e.dst != op {
                     if let Some(c) = engine.cluster_of(e.dst) {
-                        if !machine.clusters_communicate(target, c) {
+                        if !masks.contains(target.index(), c.index()) {
                             engine.unschedule(e.dst);
                         }
                     }
@@ -552,7 +574,7 @@ mod tests {
         // spinning until the process exits).
         let (tx, rx) = std::sync::mpsc::channel();
         let search = std::thread::spawn(move || {
-            let ring = RingPolicy { restrict_to: None };
+            let ring = RingPolicy::new(&m);
             let mut search = IiSearch::new(&g, &m).unwrap();
             let failed = search.window(mii..=3 * mii + 64, |_| u32::MAX, &ring).is_none();
             tx.send(failed).unwrap();

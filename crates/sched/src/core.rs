@@ -143,8 +143,8 @@ pub trait ClusterPolicy {
     /// True if a value produced in `from` cannot be consumed in `to`.  The
     /// engine unschedules flow neighbours that a forced placement strands in
     /// incompatible clusters.  The default (plain IMS) permits everything.
-    fn comm_violated(&self, machine: &Machine, from: ClusterId, to: ClusterId) -> bool {
-        let _ = (machine, from, to);
+    fn comm_violated(&self, from: ClusterId, to: ClusterId) -> bool {
+        let _ = (from, to);
         false
     }
 }
@@ -509,7 +509,6 @@ impl<'a> PlacementEngine<'a> {
                     let dep_violated = (s_dst as i64) < time as i64 + e.weight_at(ii);
                     let comm_violated = e.kind == DepKind::Flow
                         && policy.comm_violated(
-                            self.machine,
                             placed_cluster,
                             self.machine.fu(self.fu_of[e.dst.index()]).cluster,
                         );
@@ -526,7 +525,6 @@ impl<'a> PlacementEngine<'a> {
                     let dep_violated = (time as i64) < s_src as i64 + e.weight_at(ii);
                     let comm_violated = e.kind == DepKind::Flow
                         && policy.comm_violated(
-                            self.machine,
                             self.machine.fu(self.fu_of[e.src.index()]).cluster,
                             placed_cluster,
                         );
